@@ -36,6 +36,10 @@ from .prng import RngState, shuffle
 # Impurity comparisons treat values within this tolerance as tied.
 TIE_TOL = 1e-12
 
+# Cap on the classes x rows x candidates cells that best_split holds per
+# block: the size of its largest temporary arrays.
+BLOCK_CELLS = 1 << 15
+
 
 class NodeSizeSemantics(Enum):
     MIN_SPLIT = "min-split"
@@ -143,17 +147,16 @@ def draw_candidates(rng: RngState, p: int, mtry: int) -> tuple[list[int], RngSta
     return perm[:mtry], rng
 
 
-def _midpoints(xs: np.ndarray) -> np.ndarray:
-    # (a + b) / 2 everywhere it is finite; a/2 + b/2 where the sum would
-    # overflow (values are non-negative, so halves cannot cancel badly).
-    with np.errstate(over="ignore"):
-        mid = (xs[:-1] + xs[1:]) / 2.0
-    over = np.isinf(mid)
-    if over.any():
-        mid = np.where(over, xs[:-1] / 2.0 + xs[1:] / 2.0, mid)
+def _midpoint(a: float, b: float) -> float:
+    """Threshold between adjacent distinct sorted values a < b."""
+    # (a + b) / 2 where it is finite; a/2 + b/2 where the sum would overflow
+    # (values are non-negative, so halves cannot cancel badly).
+    mid = (a + b) / 2.0
+    if math.isinf(mid):
+        mid = a / 2.0 + b / 2.0
     # Midpoint may round up onto the right value; push it back so that
     # `x <= threshold` routes exactly the left block left.
-    return np.where(mid == xs[1:], xs[:-1], mid)
+    return a if mid == b else mid
 
 
 def best_split(
@@ -165,75 +168,87 @@ def best_split(
 ) -> Split | None:
     """Best admissible split of the node, or None if nothing qualifies.
 
-    Candidates are scanned in the given order; within a feature, every
-    boundary between adjacent distinct sorted values is evaluated.  The
-    minimum weighted child impurity defines a tie window of width TIE_TOL;
-    the returned split is the window member selected by cfg.tie_break
-    (FIRST_IN_DRAW_ORDER: first encountered; LOWEST_FEATURE_INDEX: smallest
-    feature index, then smallest threshold).
+    Within a feature, every boundary between adjacent distinct sorted values
+    is evaluated.  The minimum weighted child impurity over all candidates
+    defines a tie window of width TIE_TOL; the returned split is the window
+    member selected by cfg.tie_break (FIRST_IN_DRAW_ORDER: first candidate
+    in the given order; LOWEST_FEATURE_INDEX: smallest feature index; then,
+    within the feature, the smallest threshold).
+
+    The search is column-blocked: each numpy call scans a block of columns
+    of the node's (n, mtry) sub-matrix, sized so that the block's per-class
+    cumsums hold at most BLOCK_CELLS values (or one column, if a node is
+    larger than that).  One block covers every candidate of a small node,
+    which removes the per-candidate call overhead; blocks bound the memory
+    of a large node, which holds the sort orders and class cumsums of one
+    block at a time and keeps only the (n - 1, mtry) matrix of weighted
+    impurities.  Every element goes through the same float
+    operations, in the same order, as a scan of one feature at a time, so
+    the result depends neither on the block size nor on how the sort
+    orders rows with equal values.
     """
     idx = np.asarray(row_indices, dtype=np.intp)
     n = idx.size
     if n == 0:
         raise ValueError("row_indices must be non-empty")
+    cols = np.asarray(candidates, dtype=np.intp)
+    if n < 2 or cols.size == 0:
+        return None
     parent_gini = gini(parent)
     y = ds.labels[idx]
     min_leaf = cfg.min_node_size if cfg.node_size_semantics is NodeSizeSemantics.MIN_LEAF else 1
 
-    scans: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-    best_weighted = math.inf
-    for f in candidates:
-        x = ds.features[idx, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        ys = y[order]
-        cuttable = xs[:-1] != xs[1:]
-        if not cuttable.any():
-            continue
-        nl = np.arange(1, n, dtype=np.int64)
-        nr = n - nl
-        gl_acc = np.zeros(n - 1)
-        gr_acc = np.zeros(n - 1)
-        for k in range(ds.c):
-            cl = np.cumsum(ys == k)[:-1]
-            pl = cl / nl
-            pr = (parent.counts[k] - cl) / nr
-            gl_acc = gl_acc + pl * pl
-            gr_acc = gr_acc + pr * pr
+    # Counts are held as float64 (exact below 2**53): each division below is
+    # then the same IEEE operation as on integer counts, minus the casts.
+    nl = np.arange(1.0, n)[:, None]
+    nr = n - nl
+    sized = (nl >= min_leaf) & (nr >= min_leaf) if min_leaf > 1 else True
+    classes = np.arange(ds.c)[:, None, None]
+    totals = np.array(parent.counts, dtype=np.float64)[:, None, None]
+    # Weighted child impurity per (boundary, candidate); inf where inadmissible.
+    weighted_all = np.empty((n - 1, cols.size))
+    step = max(1, BLOCK_CELLS // (ds.c * n))
+    for lo in range(0, cols.size, step):
+        block = cols[lo : lo + step]
+        x = ds.features[idx[:, None], block]
+        # Any sort order will do: the values are finite, so every boundary
+        # between distinct values sees the same left counts however ties
+        # are ordered, and boundaries inside a run of ties are inadmissible.
+        order = np.argsort(x, axis=0)
+        xs = x[order, np.arange(block.size)]
+        # Left class counts at every boundary, shape (c, n - 1, block).
+        left = np.cumsum(y[order[:-1]] == classes, axis=1, dtype=np.float64)
+        pl = left / nl
+        pr = (totals - left) / nr
+        pl *= pl
+        pr *= pr
+        # Class-square sums accumulated in class order (starting from the
+        # first square is starting from 0.0: squares are never -0.0).
+        gl_acc, gr_acc = pl[0], pr[0]
+        for k in range(1, ds.c):
+            gl_acc = gl_acc + pl[k]
+            gr_acc = gr_acc + pr[k]
         weighted = (nl * (1.0 - gl_acc) + nr * (1.0 - gr_acc)) / n
-        admissible = cuttable & (weighted < parent_gini - TIE_TOL)
-        if min_leaf > 1:
-            admissible &= (nl >= min_leaf) & (nr >= min_leaf)
-        if not admissible.any():
-            continue
-        scans.append((f, _midpoints(xs), weighted, admissible))
-        f_best = float(weighted[admissible].min())
-        if f_best < best_weighted:
-            best_weighted = f_best
+        admissible = (xs[:-1] != xs[1:]) & (weighted < parent_gini - TIE_TOL) & sized
+        weighted_all[:, lo : lo + step] = np.where(admissible, weighted, math.inf)
 
-    if not scans:
+    best_weighted = weighted_all.min()
+    if best_weighted == math.inf:
         return None
+    qualify = weighted_all <= best_weighted + TIE_TOL
+    in_window = np.flatnonzero(qualify.any(axis=0))
+    if cfg.tie_break is TieBreak.FIRST_IN_DRAW_ORDER:
+        col = int(in_window[0])
+    else:
+        col = int(in_window[np.argmin(cols[in_window])])
+    j = int(np.argmax(qualify[:, col]))
 
-    window = best_weighted + TIE_TOL
-    chosen: tuple[int, int, float, float] | None = None
-    for f, thresholds, weighted, admissible in scans:
-        qualify = admissible & (weighted <= window)
-        if not qualify.any():
-            continue
-        j = int(np.argmax(qualify))
-        if chosen is None:
-            chosen = (f, j, float(thresholds[j]), float(weighted[j]))
-            if cfg.tie_break is TieBreak.FIRST_IN_DRAW_ORDER:
-                break
-        elif cfg.tie_break is TieBreak.LOWEST_FEATURE_INDEX and f < chosen[0]:
-            chosen = (f, j, float(thresholds[j]), float(weighted[j]))
-    assert chosen is not None
-
-    f, j, threshold, weighted_value = chosen
+    f = int(cols[col])
     x = ds.features[idx, f]
-    order = np.argsort(x, kind="stable")
-    ys = y[order]
-    left = tuple(int(v) for v in np.bincount(ys[: j + 1], minlength=ds.c))
+    order = np.argsort(x)
+    threshold = _midpoint(float(x[order[j]]), float(x[order[j + 1]]))
+    weighted_value = float(weighted_all[j, col])
+    left = tuple(int(v) for v in np.bincount(y[order[: j + 1]], minlength=ds.c))
     right = tuple(total_k - left_k for total_k, left_k in zip(parent.counts, left))
     return Split(
         feature=f,
@@ -372,60 +387,3 @@ def predict_leaf(tree: DecisionTree, x: np.ndarray) -> Leaf:
     while isinstance(node, Internal):
         node = node.left if x[node.feature] <= node.threshold else node.right
     return node
-
-
-def exhaustive_split_oracle(
-    ds: Dataset, row_indices: np.ndarray, parent: ClassCounts
-) -> list[Split]:
-    """Brute-force reference for best_split, deliberately kept naive.
-
-    Enumerates every boundary of every feature in plain Python and returns
-    ALL splits whose weighted child impurity lies within TIE_TOL of the
-    global minimum (subject to strict improvement), with no tie-breaking
-    and no node-size constraints.  Pure nodes yield an empty list.
-    """
-    idx = [int(i) for i in np.asarray(row_indices, dtype=np.intp)]
-    n = len(idx)
-    if n == 0:
-        raise ValueError("row_indices must be non-empty")
-    c = ds.c
-    parent_gini = gini(parent)
-
-    found: list[tuple[float, Split]] = []
-    for f in range(ds.p):
-        pairs = sorted((float(ds.features[i, f]), int(ds.labels[i])) for i in idx)
-        left = [0] * c
-        for j in range(n - 1):
-            left[pairs[j][1]] += 1
-            if pairs[j][0] == pairs[j + 1][0]:
-                continue
-            nl = j + 1
-            nr = n - nl
-            gl_acc = 0.0
-            gr_acc = 0.0
-            for k in range(c):
-                pl = left[k] / nl
-                pr = (parent.counts[k] - left[k]) / nr
-                gl_acc += pl * pl
-                gr_acc += pr * pr
-            weighted = (nl * (1.0 - gl_acc) + nr * (1.0 - gr_acc)) / n
-            if weighted >= parent_gini - TIE_TOL:
-                continue
-            threshold = (pairs[j][0] + pairs[j + 1][0]) / 2.0
-            if math.isinf(threshold):
-                threshold = pairs[j][0] / 2.0 + pairs[j + 1][0] / 2.0
-            if threshold == pairs[j + 1][0]:
-                threshold = pairs[j][0]
-            lc = ClassCounts(tuple(left))
-            rc = ClassCounts(tuple(p - l for p, l in zip(parent.counts, left)))
-            found.append(
-                (
-                    weighted,
-                    Split(f, threshold, lc, rc, weighted, parent_gini - weighted),
-                )
-            )
-
-    if not found:
-        return []
-    best = min(w for w, _ in found)
-    return [s for w, s in found if w <= best + TIE_TOL]

@@ -39,7 +39,7 @@ from .cart import (
     predict_leaf,
 )
 from .dataset import Dataset, SplitIndices
-from .prng import RngState, bounded_uint, derive_stream, shuffle
+from .prng import RngState, bounded_uint_block, derive_stream, shuffle
 
 FOREST_SCHEMA = "detforest.forest.v1"
 
@@ -81,7 +81,7 @@ class ForestConfig:
             )
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if isinstance(self.mtry, str) and self.mtry != MTRY_ALL:
+        if isinstance(self.mtry, bool) or (isinstance(self.mtry, str) and self.mtry != MTRY_ALL):
             raise ValueError(f"mtry must be an integer, {MTRY_ALL!r} or None, got {self.mtry!r}")
         if isinstance(self.mtry, int) and self.mtry < 1:
             raise ValueError(f"mtry must be >= 1, got {self.mtry}")
@@ -137,11 +137,8 @@ def bootstrap_sample(
     if k < 1:
         raise ValueError(f"sample size round({fraction} * {n}) is zero")
     if replace:
-        out = []
-        for _ in range(k):
-            v, rng = bounded_uint(rng, n)
-            out.append(v)
-        return BootstrapSample(indices=tuple(out)), rng
+        draws, rng = bounded_uint_block(rng, np.full(k, n, dtype=np.uint64))
+        return BootstrapSample(indices=tuple(draws.tolist())), rng
     perm, rng = shuffle(rng, n)
     return BootstrapSample(indices=tuple(perm[:k])), rng
 
@@ -315,9 +312,14 @@ def _tree_from_doc(doc: dict, n_features: int, n_classes: int) -> DecisionTree:
             # Preorder guarantees children come after their parent.
             if not (i < li < len(raw) and i < ri < len(raw)):
                 raise ValueError(f"node {i} has out-of-order child indices {li}, {ri}")
+            feature, threshold = int(nd["feature"]), float(nd["threshold"])
+            if not 0 <= feature < n_features:
+                raise ValueError(f"node {i} splits on feature {feature}, outside [0, {n_features})")
+            if not math.isfinite(threshold):
+                raise ValueError(f"node {i} has non-finite threshold {threshold!r}")
             built[i] = Internal(
-                feature=int(nd["feature"]),
-                threshold=float(nd["threshold"]),
+                feature=feature,
+                threshold=threshold,
                 left=built[li],
                 right=built[ri],
                 n_samples=total,
@@ -355,7 +357,7 @@ def _config_to_doc(cfg: ForestConfig) -> dict:
 
 def _config_from_doc(doc: dict) -> ForestConfig:
     mtry = doc["mtry"]
-    if mtry is not None and not isinstance(mtry, (int, str)):
+    if mtry is not None and (isinstance(mtry, bool) or not isinstance(mtry, (int, str))):
         raise ValueError(f"invalid mtry in forest document: {mtry!r}")
     return ForestConfig(
         n_trees=int(doc["n_trees"]),

@@ -120,16 +120,40 @@ def bounded_uint(rng: RngState, n: int) -> tuple[int, RngState]:
             return value % n, rng
 
 
+def bounded_uint_block(rng: RngState, bounds: np.ndarray) -> tuple[np.ndarray, RngState]:
+    """Successive bounded_uint draws, draw i in [0, bounds[i]), as uint64.
+
+    Bit-identical to calling :func:`bounded_uint` once per bound.  All draws
+    come from one :func:`next_u64_block`; each value is checked against its
+    bound's rejection limit, ``value <= MAX - (2**64 mod b)``, computed in
+    uint64.  Only if some value would be rejected (probability below
+    ``len(bounds) * max(bounds) / 2**64``) does the scalar loop redo the
+    whole block, because a rejection shifts every later draw.
+    """
+    b = np.asarray(bounds, dtype=np.uint64)
+    if b.size and int(b.min()) < 1:
+        raise ValueError(f"bounds must be >= 1, got {int(b.min())}")
+    values, after = next_u64_block(rng, b.size)
+    top = np.uint64(_MASK64)
+    if np.all(values <= top - ((top % b + np.uint64(1)) % b)):
+        return values % b, after
+    out = np.empty(b.size, dtype=np.uint64)
+    for i, n in enumerate(b.tolist()):
+        out[i], rng = bounded_uint(rng, n)
+    return out, rng
+
+
 def shuffle(rng: RngState, m: int) -> tuple[list[int], RngState]:
     """Uniform random permutation of [0, m) via Fisher-Yates.
 
     Walks from the high index downward; the swap partner for position i is
-    ``bounded_uint(i + 1)``.  Deterministic given the state.
+    ``bounded_uint(i + 1)``.  Deterministic given the state.  The m - 1
+    partners are drawn as one block (see :func:`bounded_uint_block`).
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    partners, rng = bounded_uint_block(rng, np.arange(m, 1, -1, dtype=np.uint64))
     perm = list(range(m))
-    for i in range(m - 1, 0, -1):
-        j, rng = bounded_uint(rng, i + 1)
+    for i, j in zip(range(m - 1, 0, -1), partners.tolist()):
         perm[i], perm[j] = perm[j], perm[i]
     return perm, rng

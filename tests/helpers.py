@@ -1,10 +1,15 @@
-"""Shared dataset builders for the test suite."""
+"""Shared dataset builders and reference implementations for the test suite."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from detforest import Dataset
+from detforest import TIE_TOL, ClassCounts, Dataset, RngState, Split, gini
+
+MASK64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
 
 
 def duplicated_feature_dataset(copies_per_value: int = 3) -> Dataset:
@@ -25,3 +30,82 @@ def tiny_dataset(columns: list[list[float]], labels: list[int]) -> Dataset:
     features = np.column_stack([np.asarray(c, dtype=np.float64) for c in columns])
     names = [f"f{i}" for i in range(features.shape[1])]
     return Dataset(features, np.asarray(labels, dtype=np.int64), names)
+
+
+def exhaustive_split_oracle(
+    ds: Dataset, row_indices: np.ndarray, parent: ClassCounts
+) -> list[Split]:
+    """Brute-force reference for best_split, deliberately kept naive.
+
+    Enumerates every boundary of every feature in plain Python and returns
+    ALL splits whose weighted child impurity lies within TIE_TOL of the
+    global minimum (subject to strict improvement), with no tie-breaking
+    and no node-size constraints.  Pure nodes yield an empty list.
+    """
+    idx = [int(i) for i in np.asarray(row_indices, dtype=np.intp)]
+    n = len(idx)
+    if n == 0:
+        raise ValueError("row_indices must be non-empty")
+    c = ds.c
+    parent_gini = gini(parent)
+
+    found: list[tuple[float, Split]] = []
+    for f in range(ds.p):
+        pairs = sorted((float(ds.features[i, f]), int(ds.labels[i])) for i in idx)
+        left = [0] * c
+        for j in range(n - 1):
+            left[pairs[j][1]] += 1
+            if pairs[j][0] == pairs[j + 1][0]:
+                continue
+            nl = j + 1
+            nr = n - nl
+            gl_acc = 0.0
+            gr_acc = 0.0
+            for k in range(c):
+                pl = left[k] / nl
+                pr = (parent.counts[k] - left[k]) / nr
+                gl_acc += pl * pl
+                gr_acc += pr * pr
+            weighted = (nl * (1.0 - gl_acc) + nr * (1.0 - gr_acc)) / n
+            if weighted >= parent_gini - TIE_TOL:
+                continue
+            threshold = (pairs[j][0] + pairs[j + 1][0]) / 2.0
+            if math.isinf(threshold):
+                threshold = pairs[j][0] / 2.0 + pairs[j + 1][0] / 2.0
+            if threshold == pairs[j + 1][0]:
+                threshold = pairs[j][0]
+            lc = ClassCounts(tuple(left))
+            rc = ClassCounts(tuple(p - l for p, l in zip(parent.counts, left)))
+            found.append(
+                (
+                    weighted,
+                    Split(f, threshold, lc, rc, weighted, parent_gini - weighted),
+                )
+            )
+
+    if not found:
+        return []
+    best = min(w for w, _ in found)
+    return [s for w, s in found if w <= best + TIE_TOL]
+
+
+def _unxorshift(y: int, shift: int) -> int:
+    """Inverse of x -> x ^ (x >> shift) on 64-bit values."""
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def splitmix_unfinalize(value: int) -> int:
+    """The SplitMix64 state z with finalize(z) == value (the finalizer is a bijection)."""
+    z = _unxorshift(value, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & MASK64
+    z = _unxorshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & MASK64
+    return _unxorshift(z, 30)
+
+
+def state_with_draw(k: int, value: int) -> RngState:
+    """A state whose k-th next_u64 draw (k >= 1) returns `value`."""
+    return RngState((splitmix_unfinalize(value) - k * GOLDEN) & MASK64)

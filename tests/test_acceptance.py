@@ -39,14 +39,13 @@ from detforest.cart import (
     Leaf,
     best_split,
     class_counts_of,
-    exhaustive_split_oracle,
     iter_nodes,
     trees_equal_exact,
 )
 from detforest.cli import PRESETS
 from detforest.forest import predict_argmax_proba, predict_majority
 
-from helpers import duplicated_feature_dataset
+from helpers import duplicated_feature_dataset, exhaustive_split_oracle
 
 
 @contextmanager

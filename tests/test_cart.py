@@ -18,21 +18,21 @@ from detforest import (
     grow_tree,
 )
 from detforest.cart import (
+    BLOCK_CELLS,
     TIE_TOL,
     Internal,
     Leaf,
-    _midpoints,
+    _midpoint,
     best_split,
     class_counts_of,
     draw_candidates,
-    exhaustive_split_oracle,
     iter_nodes,
     predict_leaf,
     trees_equal_exact,
 )
 from detforest.prng import RngState, shuffle
 
-from helpers import duplicated_feature_dataset, tiny_dataset
+from helpers import duplicated_feature_dataset, exhaustive_split_oracle, tiny_dataset
 
 
 class TestGini:
@@ -84,8 +84,7 @@ class TestClassCounts:
 
 class TestMidpoints:
     def test_plain_midpoints(self):
-        out = _midpoints(np.array([1.0, 2.0, 4.0]))
-        assert out.tolist() == [1.5, 3.0]
+        assert [_midpoint(1.0, 2.0), _midpoint(2.0, 4.0)] == [1.5, 3.0]
 
     def test_guard_when_midpoint_rounds_up(self):
         # Adjacent floats: their midpoint rounds to the upper value, which
@@ -93,21 +92,20 @@ class TestMidpoints:
         # threshold to the lower value instead.
         a = 1.0
         b = float(np.nextafter(a, np.inf))
-        out = _midpoints(np.array([a, b]))
-        assert out[0] == a
+        assert _midpoint(a, b) == a
 
     def test_threshold_routes_left_block_left(self):
         a = 1e308
         b = float(np.nextafter(a, np.inf))
-        t = float(_midpoints(np.array([a, b]))[0])
+        t = _midpoint(a, b)
         assert a <= t < b
 
     def test_huge_values_do_not_overflow(self):
         # (a + b) overflows float64 here; the midpoint must stay finite or
         # an inf threshold would route every row left.
-        out = _midpoints(np.array([1.0e308, 1.7e308]))
-        assert np.isfinite(out).all()
-        assert out[0] == 1.35e308
+        out = _midpoint(1.0e308, 1.7e308)
+        assert np.isfinite(out)
+        assert out == 1.35e308
 
     def test_tree_grows_through_overflow_range(self):
         ds = tiny_dataset([[1.0e308, 1.2e308, 1.5e308, 1.7e308]], [0, 0, 1, 1])
@@ -282,6 +280,29 @@ class TestBestSplit:
         with pytest.raises(ValueError):
             best_split(ds, np.array([], dtype=np.intp), [0], parent, _grow_cfg())
 
+    def test_order_of_tied_rows_does_not_matter(self):
+        # Five distinct values per feature: nearly every row sits in a run
+        # of ties, and permuting the rows reorders every run.
+        gen = np.random.default_rng(1)
+        ds = Dataset(
+            gen.integers(0, 5, size=(200, 6)).astype(np.float64),
+            gen.integers(0, 3, size=200),
+            [f"f{i}" for i in range(6)],
+        )
+        rows = np.arange(0, 200, 2)
+        parent = class_counts_of(ds.labels[rows], ds.c)
+        cands = [4, 1, 5, 0, 3, 2]
+        cfgs = [_grow_cfg(mtry=6, tie_break=tb) for tb in TieBreak] + [
+            _grow_cfg(mtry=6, min_node_size=7, node_size_semantics=NodeSizeSemantics.MIN_LEAF)
+        ]
+        expected = [best_split(ds, rows, cands, parent, cfg) for cfg in cfgs]
+        assert expected[1] == min(
+            exhaustive_split_oracle(ds, rows, parent), key=lambda s: (s.feature, s.threshold)
+        )
+        for _ in range(5):
+            shuffled = gen.permutation(rows)
+            assert [best_split(ds, shuffled, cands, parent, cfg) for cfg in cfgs] == expected
+
     def test_agrees_with_oracle_on_row_subsets(self):
         ds = duplicated_feature_dataset(copies_per_value=2)
         rows = np.array([0, 2, 4, 6, 7])
@@ -292,6 +313,65 @@ class TestBestSplit:
         )
         oracle = exhaustive_split_oracle(ds, rows, parent)
         assert sp in oracle
+
+
+def _two_block_tie_dataset() -> Dataset:
+    """Two classes, n x p past one block, feature 35 an exact twin of 5.
+
+    Labels run 0^300 1^400 0^300 along feature 5, so cutting it at 300.5 or
+    700.5 gives bit-identical weighted impurities: the tie window holds two
+    thresholds on each twin.  Every other feature is noise.
+    """
+    n, p = 1000, 40
+    rng = np.random.default_rng(0)
+    features = rng.random((n, p))
+    features[:, 5] = features[:, 35] = np.arange(1.0, n + 1.0)
+    labels = np.r_[np.zeros(300), np.ones(400), np.zeros(300)].astype(np.int64)
+    return Dataset(features, labels, [f"f{i}" for i in range(p)])
+
+
+class TestBestSplitBlocks:
+    # Draw order puts twin 35 in the first block and twin 5 in the last.
+    CANDIDATES = [35] + [f for f in range(40) if f not in (5, 35)] + [5]
+
+    def _setup(self):
+        ds = _two_block_tie_dataset()
+        rows = np.arange(ds.n)
+        parent = class_counts_of(ds.labels, ds.c)
+        step = BLOCK_CELLS // (ds.c * ds.n)
+        assert ds.c * ds.n * len(self.CANDIDATES) > BLOCK_CELLS
+        assert 0 // step != (len(self.CANDIDATES) - 1) // step
+        return ds, rows, parent
+
+    def test_each_policy_picks_its_window_member_across_blocks(self):
+        ds, rows, parent = self._setup()
+        window = exhaustive_split_oracle(ds, rows, parent)
+        assert sorted((s.feature, s.threshold) for s in window) == [
+            (5, 300.5), (5, 700.5), (35, 300.5), (35, 700.5)
+        ]
+        cfg = _grow_cfg(mtry=40, tie_break=TieBreak.LOWEST_FEATURE_INDEX)
+        lowest = best_split(ds, rows, self.CANDIDATES, parent, cfg)
+        assert lowest == min(window, key=lambda s: (s.feature, s.threshold))
+        assert (lowest.feature, lowest.threshold) == (5, 300.5)
+        cfg = _grow_cfg(mtry=40, tie_break=TieBreak.FIRST_IN_DRAW_ORDER)
+        first = best_split(ds, rows, self.CANDIDATES, parent, cfg)
+        assert first == min(window, key=lambda s: (self.CANDIDATES.index(s.feature), s.threshold))
+        assert (first.feature, first.threshold) == (35, 300.5)
+
+    # 2 classes x 334 rows: blocks of 1, 3, 20 and all 40 columns.
+    @pytest.mark.parametrize("cells", [1, 2 * 334 * 3, 2 * 334 * 20, 1 << 20])
+    def test_result_does_not_depend_on_block_size(self, cells, monkeypatch):
+        ds, rows, parent = self._setup()
+        rows = rows[::3]
+        parent = class_counts_of(ds.labels[rows], ds.c)
+        expected = {
+            tb: best_split(ds, rows, self.CANDIDATES, parent, _grow_cfg(mtry=40, tie_break=tb))
+            for tb in TieBreak
+        }
+        monkeypatch.setattr("detforest.cart.BLOCK_CELLS", cells)
+        for tb in TieBreak:
+            got = best_split(ds, rows, self.CANDIDATES, parent, _grow_cfg(mtry=40, tie_break=tb))
+            assert got == expected[tb]
 
 
 class TestGrowTree:

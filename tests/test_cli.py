@@ -445,6 +445,17 @@ class TestDiff:
         assert rc == 0
         capsys.readouterr()
 
+    def test_out_of_range_feature_exits_2(self, trained, tmp_path, capsys):
+        csv, out = trained
+        doc = json.loads((out / "forest-0.json").read_text())
+        node = next(nd for nd in doc["trees"][0]["nodes"] if "feature" in nd)
+        node["feature"] = doc["n_features"]
+        bad = tmp_path / "bad-forest.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["diff", str(bad), str(out / "forest-1.json"), "--data", str(csv)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_incompatible_data_exits_2(self, trained, dup_csv, capsys):
         _, out = trained
         rc = main(["diff", str(out / "forest-0.json"),

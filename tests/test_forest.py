@@ -38,7 +38,7 @@ from detforest.forest import (
 )
 from detforest.prng import bounded_uint, shuffle
 
-from helpers import duplicated_feature_dataset, tiny_dataset
+from helpers import GOLDEN, MASK64, duplicated_feature_dataset, state_with_draw, tiny_dataset
 
 
 class TestBootstrapSample:
@@ -76,6 +76,19 @@ class TestBootstrapSample:
         assert len(s.indices) == 2  # round(2.5) = 2
         s, _ = bootstrap_sample(derive_stream(0, 0), 7, True, 0.5)
         assert len(s.indices) == 4  # round(3.5) = 4
+
+    def test_with_replacement_rejected_draw_falls_back_to_scalar_draws(self):
+        # 2**64 mod 5 is 1, so 2**64 - 1 is rejected for n = 5 and redrawn.
+        rng = state_with_draw(3, MASK64)
+        s, after = bootstrap_sample(rng, 5, True, 1.0)
+        ref, r = [], rng
+        for _ in range(5):
+            v, r = bounded_uint(r, 5)
+            ref.append(v)
+        assert list(s.indices) == ref
+        assert all(type(i) is int for i in s.indices)
+        assert after == r
+        assert after.state == (rng.state + 6 * GOLDEN) & MASK64  # one extra step
 
     def test_zero_sample_size_rejected(self):
         with pytest.raises(ValueError):
@@ -124,6 +137,17 @@ class TestForestConfig:
             ForestConfig(mtry="sqrt")
         with pytest.raises(ValueError):
             ForestConfig(mtry=0)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_mtry_rejected(self, flag):
+        # bool is an int subclass: True would otherwise pass as mtry = 1.
+        with pytest.raises(ValueError):
+            ForestConfig(mtry=flag)
+        ds = generate_synthetic_formulas(40, 4, 0)
+        doc = forest_to_doc(fit(ds, train_test_split(ds, 0.75, 0), ForestConfig(n_trees=1)))
+        doc["config"]["mtry"] = flag
+        with pytest.raises(ValueError):
+            forest_from_doc(doc)
 
     def test_oversized_mtry_fails_at_fit_time(self):
         ds = generate_synthetic_formulas(30, 4, 0)
@@ -415,3 +439,21 @@ class TestSerialization:
         doc["trees"] = doc["trees"][:-1]
         with pytest.raises(ValueError):
             forest_from_doc(doc)
+
+    def _first_internal(self, doc):
+        return next(node for node in doc["trees"][0]["nodes"] if "feature" in node)
+
+    @pytest.mark.parametrize("feature", [4, 99, -1])
+    def test_out_of_range_feature_rejected(self, feature):
+        doc = forest_to_doc(self._forest())
+        self._first_internal(doc)["feature"] = feature
+        with pytest.raises(ValueError, match="feature"):
+            forest_from_doc(doc)
+
+    @pytest.mark.parametrize("threshold", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_threshold_rejected(self, threshold):
+        doc = forest_to_doc(self._forest())
+        self._first_internal(doc)["threshold"] = "THRESHOLD"
+        text = json.dumps(doc).replace('"THRESHOLD"', threshold)
+        with pytest.raises(ValueError, match="threshold"):
+            forest_from_json(text)

@@ -19,11 +19,14 @@ from detforest.prng import (
     TRIAL_STREAM,
     RngState,
     bounded_uint,
+    bounded_uint_block,
     derive_stream,
     next_u64,
     next_u64_block,
     shuffle,
 )
+
+from helpers import state_with_draw
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -211,3 +214,59 @@ class TestShuffle:
         ref_perm, ref_state = ref_shuffle(state, m)
         assert perm == ref_perm
         assert rng.state == ref_state
+
+    def test_rejected_draw_falls_back_to_scalar_loop(self):
+        # Partners are drawn with bounds 10, 9, 8, 7, ...: the 4th draw has
+        # bound 7, and 2**64 - 1 lies above its rejection limit (2**64 mod 7
+        # is 2), so that draw is redrawn and every later partner shifts.
+        m = 10
+        rng = state_with_draw(4, MASK)
+        assert next_u64_block(rng, 4)[0][3] == MASK
+        perm, after = shuffle(rng, m)
+        ref_perm, r = list(range(m)), rng
+        for i in range(m - 1, 0, -1):
+            j, r = bounded_uint(r, i + 1)
+            ref_perm[i], ref_perm[j] = ref_perm[j], ref_perm[i]
+        assert perm == ref_perm
+        assert after == r
+        assert after.state == (rng.state + m * GOLDEN) & MASK  # one extra step
+        assert (perm, after.state) == ref_shuffle(rng.state, m)
+
+
+class TestBoundedUintBlock:
+    @given(
+        st.integers(min_value=0, max_value=MASK),
+        st.lists(st.integers(min_value=1, max_value=MASK), max_size=20),
+    )
+    @settings(max_examples=100)
+    def test_equals_scalar_draws(self, state, bounds):
+        values, rng = bounded_uint_block(RngState(state), np.array(bounds, dtype=np.uint64))
+        ref, r = [], RngState(state)
+        for b in bounds:
+            v, r = bounded_uint(r, b)
+            ref.append(v)
+        assert values.tolist() == ref
+        assert rng == r
+
+    def test_rejection_redraws_only_from_the_rejected_draw(self):
+        # 2**64 mod 3 is 1, so 2**64 - 1 is the one rejected value for bound 3.
+        rng = state_with_draw(2, MASK)
+        values, after = bounded_uint_block(rng, np.full(4, 3, dtype=np.uint64))
+        ref, r = [], rng
+        for _ in range(4):
+            v, r = bounded_uint(r, 3)
+            ref.append(v)
+        assert values.tolist() == ref
+        assert after == r
+        assert after.state == (rng.state + 5 * GOLDEN) & MASK
+
+    def test_zero_bound_rejected(self):
+        with pytest.raises(ValueError):
+            bounded_uint_block(RngState(0), np.array([3, 0], dtype=np.uint64))
+
+
+class TestStateWithDraw:
+    @pytest.mark.parametrize("k, value", [(1, 0), (3, MASK), (7, 0x0123456789ABCDEF)])
+    def test_kth_draw_has_the_value(self, k, value):
+        values, _ = next_u64_block(state_with_draw(k, value), k)
+        assert int(values[k - 1]) == value
