@@ -31,7 +31,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .dataset import Dataset
-from .prng import RngState, shuffle
+from .prng import PermutationStream, RngState, shuffle
 
 # Impurity comparisons treat values within this tolerance as tied.
 TIE_TOL = 1e-12
@@ -39,6 +39,10 @@ TIE_TOL = 1e-12
 # Cap on the classes x rows x candidates cells that best_split holds per
 # block: the size of its largest temporary arrays.
 BLOCK_CELLS = 1 << 15
+
+# Cap on the next_u64 values in one block of grow_tree's candidate draws
+# (p - 1 values per node); a tree's unused tail of a block is wasted.
+DRAW_BLOCK_VALUES = 1 << 13
 
 
 class NodeSizeSemantics(Enum):
@@ -165,6 +169,7 @@ def best_split(
     candidates: list[int],
     parent: ClassCounts,
     cfg: GrowConfig,
+    weights: np.ndarray | None = None,
 ) -> Split | None:
     """Best admissible split of the node, or None if nothing qualifies.
 
@@ -174,6 +179,13 @@ def best_split(
     member selected by cfg.tie_break (FIRST_IN_DRAW_ORDER: first candidate
     in the given order; LOWEST_FEATURE_INDEX: smallest feature index; then,
     within the feature, the smallest threshold).
+
+    `weights` holds a positive integer count per row (a bootstrap's in-bag
+    counts), and `parent` the node's class counts under those weights.
+    Omitted, every row counts once.  A row with count w is the same node as
+    w copies of the row: copies share their values, so the boundaries
+    between them are inadmissible, and every admissible boundary sees the
+    same integer left size, right size and left class counts either way.
 
     The search is column-blocked: each numpy call scans a block of columns
     of the node's (n, mtry) sub-matrix, sized so that the block's per-class
@@ -191,18 +203,23 @@ def best_split(
     n = idx.size
     if n == 0:
         raise ValueError("row_indices must be non-empty")
+    w = None if weights is None else np.asarray(weights, dtype=np.float64)
+    if w is not None and w.shape != idx.shape:
+        raise ValueError(f"weights must have shape {idx.shape}, got {w.shape}")
     cols = np.asarray(candidates, dtype=np.intp)
     if n < 2 or cols.size == 0:
         return None
+    if w is not None and w.max() == 1.0:
+        w = None  # every row counts once: the cheaper unweighted scan
     parent_gini = gini(parent)
+    total = parent.total
     y = ds.labels[idx]
     min_leaf = cfg.min_node_size if cfg.node_size_semantics is NodeSizeSemantics.MIN_LEAF else 1
 
     # Counts are held as float64 (exact below 2**53): each division below is
     # then the same IEEE operation as on integer counts, minus the casts.
+    # Left sizes at the boundaries of every column, unless rows are weighted.
     nl = np.arange(1.0, n)[:, None]
-    nr = n - nl
-    sized = (nl >= min_leaf) & (nr >= min_leaf) if min_leaf > 1 else True
     classes = np.arange(ds.c)[:, None, None]
     totals = np.array(parent.counts, dtype=np.float64)[:, None, None]
     # Weighted child impurity per (boundary, candidate); inf where inadmissible.
@@ -216,8 +233,16 @@ def best_split(
         # are ordered, and boundaries inside a run of ties are inadmissible.
         order = np.argsort(x, axis=0)
         xs = x[order, np.arange(block.size)]
-        # Left class counts at every boundary, shape (c, n - 1, block).
-        left = np.cumsum(y[order[:-1]] == classes, axis=1, dtype=np.float64)
+        head = order[:-1]
+        # Left class counts at every boundary, shape (c, n - 1, block), and
+        # the left sizes.
+        if w is None:
+            left = np.cumsum(y[head] == classes, axis=1, dtype=np.float64)
+        else:
+            ws = w[head]
+            left = np.cumsum((y[head] == classes) * ws, axis=1)
+            nl = np.cumsum(ws, axis=0)
+        nr = total - nl
         pl = left / nl
         pr = (totals - left) / nr
         pl *= pl
@@ -228,8 +253,10 @@ def best_split(
         for k in range(1, ds.c):
             gl_acc = gl_acc + pl[k]
             gr_acc = gr_acc + pr[k]
-        weighted = (nl * (1.0 - gl_acc) + nr * (1.0 - gr_acc)) / n
-        admissible = (xs[:-1] != xs[1:]) & (weighted < parent_gini - TIE_TOL) & sized
+        weighted = (nl * (1.0 - gl_acc) + nr * (1.0 - gr_acc)) / total
+        admissible = (xs[:-1] != xs[1:]) & (weighted < parent_gini - TIE_TOL)
+        if min_leaf > 1:
+            admissible &= (nl >= min_leaf) & (nr >= min_leaf)
         weighted_all[:, lo : lo + step] = np.where(admissible, weighted, math.inf)
 
     best_weighted = weighted_all.min()
@@ -244,11 +271,20 @@ def best_split(
     j = int(np.argmax(qualify[:, col]))
 
     f = int(cols[col])
-    x = ds.features[idx, f]
-    order = np.argsort(x)
-    threshold = _midpoint(float(x[order[j]]), float(x[order[j + 1]]))
+    if col >= lo:
+        # The column is in the last block, whose sort and counts are at hand.
+        xs = xs[:, col - lo]
+        left_counts = left[:, j, col - lo]
+    else:
+        x = ds.features[idx, f]
+        order = np.argsort(x)
+        xs = x[order]
+        left_counts = np.bincount(
+            y[order[: j + 1]], weights=None if w is None else w[order[: j + 1]], minlength=ds.c
+        )
+    threshold = _midpoint(float(xs[j]), float(xs[j + 1]))
     weighted_value = float(weighted_all[j, col])
-    left = tuple(int(v) for v in np.bincount(y[order[: j + 1]], minlength=ds.c))
+    left = tuple(int(v) for v in left_counts.tolist())
     right = tuple(total_k - left_k for total_k, left_k in zip(parent.counts, left))
     return Split(
         feature=f,
@@ -279,6 +315,11 @@ def grow_tree(ds: Dataset, row_indices: np.ndarray, cfg: GrowConfig, rng: RngSta
     node that attempts a split; the left child is grown first and continues
     the stream where the node's draw left off.
 
+    `row_indices` may repeat rows (a bootstrap sample).  The tree is grown
+    on the distinct rows, each carrying its count, which gives the same
+    tree as growing on the repeated rows (see best_split): node sizes and
+    class counts are the weighted ones.
+
     Uses explicit stacks rather than recursion: a fully grown tree can be
     deeper than the interpreter stack allows.  Nodes are visited in
     preorder (left child first), which makes the PRNG consumption order
@@ -288,9 +329,12 @@ def grow_tree(ds: Dataset, row_indices: np.ndarray, cfg: GrowConfig, rng: RngSta
     idx = np.asarray(row_indices, dtype=np.intp)
     if idx.size == 0:
         raise ValueError("row_indices must be non-empty")
+    rows, weights = np.unique(idx, return_counts=True)
+    weights = weights.astype(np.float64)
+    draws = PermutationStream(rng, ds.p, block=max(1, DRAW_BLOCK_VALUES // ds.p))
 
     VISIT, ASSEMBLE = 0, 1
-    work: list[tuple] = [(VISIT, idx, 0)]
+    work: list[tuple] = [(VISIT, rows, weights, class_counts_of(ds.labels[idx], ds.c), 0)]
     done: list[TreeNode] = []
     while work:
         item = work.pop()
@@ -311,8 +355,7 @@ def grow_tree(ds: Dataset, row_indices: np.ndarray, cfg: GrowConfig, rng: RngSta
             )
             continue
 
-        _, node_idx, depth = item
-        counts = class_counts_of(ds.labels[node_idx], ds.c)
+        _, node_rows, node_weights, counts, depth = item
         g = gini(counts)
         total = counts.total
         if (
@@ -323,18 +366,19 @@ def grow_tree(ds: Dataset, row_indices: np.ndarray, cfg: GrowConfig, rng: RngSta
             done.append(_make_leaf(counts, g))
             continue
 
-        candidates, rng = draw_candidates(rng, ds.p, cfg.mtry)
-        sp = best_split(ds, node_idx, candidates, counts, cfg)
+        # The first mtry entries of the node's permutation, as draw_candidates.
+        candidates = draws.draw()[: cfg.mtry]
+        sp = best_split(ds, node_rows, candidates, counts, cfg, node_weights)
         if sp is None:
             done.append(_make_leaf(counts, g))
             continue
 
-        mask = ds.features[node_idx, sp.feature] <= sp.threshold
+        mask = ds.features[node_rows, sp.feature] <= sp.threshold
         # LIFO: the left visit lands on top so it is grown first; the
         # assemble record fires once both children sit on `done`.
         work.append((ASSEMBLE, sp, counts, g))
-        work.append((VISIT, node_idx[~mask], depth + 1))
-        work.append((VISIT, node_idx[mask], depth + 1))
+        work.append((VISIT, node_rows[~mask], node_weights[~mask], sp.right_counts, depth + 1))
+        work.append((VISIT, node_rows[mask], node_weights[mask], sp.left_counts, depth + 1))
 
     return DecisionTree(root=done[0], n_features=ds.p, n_classes=ds.c)
 

@@ -151,10 +151,12 @@ def _map_labels(raw: list[str]) -> np.ndarray:
 def save_csv(ds: Dataset, path: str, label_column: str = "label") -> None:
     """Write a dataset as CSV; floats use repr so a reload is bit-identical."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(ds.feature_names) + [label_column])
-        for i in range(ds.n):
-            writer.writerow([repr(float(v)) for v in ds.features[i]] + [int(ds.labels[i])])
+        # Names may need quoting; float reprs and integer labels never do.
+        # Rows become Python floats one at a time, which keeps the peak
+        # memory at one row's worth of them.
+        csv.writer(fh, lineterminator="\n").writerow(list(ds.feature_names) + [label_column])
+        for row, label in zip(ds.features, ds.labels.tolist()):
+            fh.write(",".join(map(repr, row.tolist())) + f",{label}\n")
 
 
 def train_test_split(ds: Dataset, train_fraction: float, seed: int) -> SplitIndices:

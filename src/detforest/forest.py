@@ -179,10 +179,18 @@ def fit(ds: Dataset, split: SplitIndices, cfg: ForestConfig, n_workers: int = 1)
     return Forest(trees=tuple(trees), config=cfg, n_features=ds.p, n_classes=ds.c)
 
 
+def _check_features(features: np.ndarray) -> None:
+    bad = ~np.isfinite(features)
+    if bad.any():
+        r, col = np.argwhere(bad)[0]
+        raise ValueError(f"non-finite feature value {features[r, col]!r} at row {r}, column {col}")
+
+
 def _check_sample(f: Forest, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (f.n_features,):
         raise ValueError(f"expected {f.n_features} features, got shape {x.shape}")
+    _check_features(x[None, :])
     return x
 
 
@@ -231,16 +239,56 @@ def predict_class(f: Forest, x: np.ndarray, aggregation: Aggregation | None = No
     return predict_argmax_proba(f, x)
 
 
+def _route(tree: DecisionTree, features: np.ndarray) -> list[tuple[Leaf, np.ndarray]]:
+    """Each leaf that some row reaches, with those rows (`<= threshold` goes left).
+
+    Splits the row indices down the tree, so each numpy call routes every
+    row at one node, and a row lands in the leaf predict_leaf returns for it.
+    """
+    out: list[tuple[Leaf, np.ndarray]] = []
+    stack: list[tuple[TreeNode, np.ndarray]] = [(tree.root, np.arange(features.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        if isinstance(node, Leaf):
+            out.append((node, rows))
+            continue
+        go_left = features[rows, node.feature] <= node.threshold
+        for child, part in ((node.right, rows[~go_left]), (node.left, rows[go_left])):
+            if part.size:
+                stack.append((child, part))
+    return out
+
+
 def predict_classes(
     f: Forest, features: np.ndarray, aggregation: Aggregation | None = None
 ) -> list[int]:
-    """Predict a class id per row of a 2-D feature matrix."""
+    """Predict a class id per row of a 2-D feature matrix.
+
+    The same ids as predict_class row by row, computed with all rows going
+    through each tree at once: votes or leaf distributions are accumulated
+    in tree order, and np.argmax resolves exact ties to the lowest class id.
+    """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != f.n_features:
         raise ValueError(
             f"expected a 2-D matrix with {f.n_features} columns, got shape {features.shape}"
         )
-    return [predict_class(f, features[i], aggregation) for i in range(features.shape[0])]
+    _check_features(features)
+    agg = aggregation if aggregation is not None else f.config.aggregation
+    if agg is Aggregation.MAJORITY_VOTE:
+        scores = np.zeros((features.shape[0], f.n_classes), dtype=np.int64)
+        for tree in f.trees:
+            for leaf, rows in _route(tree, features):
+                scores[rows, _argmax_lowest(leaf.class_distribution)] += 1
+    else:
+        scores = np.zeros((features.shape[0], f.n_classes))
+        for tree in f.trees:
+            dist = np.empty_like(scores)
+            for leaf, rows in _route(tree, features):
+                dist[rows] = leaf.class_distribution
+            scores += dist
+        scores /= len(f.trees)
+    return np.argmax(scores, axis=1).tolist()
 
 
 def accuracy(

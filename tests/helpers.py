@@ -6,7 +6,23 @@ import math
 
 import numpy as np
 
-from detforest import TIE_TOL, ClassCounts, Dataset, RngState, Split, gini
+from detforest import (
+    TIE_TOL,
+    ClassCounts,
+    Dataset,
+    DecisionTree,
+    GrowConfig,
+    Internal,
+    NodeSizeSemantics,
+    RngState,
+    Split,
+    TreeNode,
+    best_split,
+    class_counts_of,
+    draw_candidates,
+    gini,
+)
+from detforest.cart import _make_leaf
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -109,3 +125,64 @@ def splitmix_unfinalize(value: int) -> int:
 def state_with_draw(k: int, value: int) -> RngState:
     """A state whose k-th next_u64 draw (k >= 1) returns `value`."""
     return RngState((splitmix_unfinalize(value) - k * GOLDEN) & MASK64)
+
+
+def reference_grow_tree(
+    ds: Dataset, row_indices: np.ndarray, cfg: GrowConfig, rng: RngState
+) -> DecisionTree:
+    """grow_tree as it was before trees grew on in-bag counts.
+
+    Every node holds its rows with their repeats, recounts its classes, and
+    draws its candidates with its own shuffle through draw_candidates.
+    """
+    cfg.validate(ds.p)
+    idx = np.asarray(row_indices, dtype=np.intp)
+    if idx.size == 0:
+        raise ValueError("row_indices must be non-empty")
+
+    VISIT, ASSEMBLE = 0, 1
+    work: list[tuple] = [(VISIT, idx, 0)]
+    done: list[TreeNode] = []
+    while work:
+        item = work.pop()
+        if item[0] == ASSEMBLE:
+            _, sp, counts, g = item
+            right_node = done.pop()
+            left_node = done.pop()
+            done.append(
+                Internal(
+                    feature=sp.feature,
+                    threshold=sp.threshold,
+                    left=left_node,
+                    right=right_node,
+                    n_samples=counts.total,
+                    gini=g,
+                    class_counts=counts.counts,
+                )
+            )
+            continue
+
+        _, node_idx, depth = item
+        counts = class_counts_of(ds.labels[node_idx], ds.c)
+        g = gini(counts)
+        total = counts.total
+        if (
+            max(counts.counts) == total
+            or (cfg.max_depth is not None and depth >= cfg.max_depth)
+            or (cfg.node_size_semantics is NodeSizeSemantics.MIN_SPLIT and total < cfg.min_node_size)
+        ):
+            done.append(_make_leaf(counts, g))
+            continue
+
+        candidates, rng = draw_candidates(rng, ds.p, cfg.mtry)
+        sp = best_split(ds, node_idx, candidates, counts, cfg)
+        if sp is None:
+            done.append(_make_leaf(counts, g))
+            continue
+
+        mask = ds.features[node_idx, sp.feature] <= sp.threshold
+        work.append((ASSEMBLE, sp, counts, g))
+        work.append((VISIT, node_idx[~mask], depth + 1))
+        work.append((VISIT, node_idx[mask], depth + 1))
+
+    return DecisionTree(root=done[0], n_features=ds.p, n_classes=ds.c)

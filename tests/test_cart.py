@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,9 +32,15 @@ from detforest.cart import (
     predict_leaf,
     trees_equal_exact,
 )
+from detforest.forest import bootstrap_sample
 from detforest.prng import RngState, shuffle
 
-from helpers import duplicated_feature_dataset, exhaustive_split_oracle, tiny_dataset
+from helpers import (
+    duplicated_feature_dataset,
+    exhaustive_split_oracle,
+    reference_grow_tree,
+    tiny_dataset,
+)
 
 
 class TestGini:
@@ -372,6 +380,102 @@ class TestBestSplitBlocks:
         for tb in TieBreak:
             got = best_split(ds, rows, self.CANDIDATES, parent, _grow_cfg(mtry=40, tie_break=tb))
             assert got == expected[tb]
+
+
+def _tied_dataset(data) -> Dataset:
+    """Coarse-grid features with some columns repeated as exact copies."""
+    n = data.draw(st.integers(min_value=2, max_value=30), label="n")
+    p = data.draw(st.integers(min_value=1, max_value=5), label="p")
+    c = data.draw(st.integers(min_value=2, max_value=3), label="c")
+    seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1), label="seed")
+    gen = np.random.default_rng(seed)
+    features = gen.integers(0, 5, size=(n, p)).astype(np.float64)
+    copies = data.draw(st.lists(st.integers(0, p - 1), max_size=2), label="copied columns")
+    features = np.column_stack([features] + [features[:, [j]] for j in copies])
+    labels = gen.integers(0, c, size=n)
+    labels[0] = c - 1
+    return Dataset(features, labels, [f"f{i}" for i in range(features.shape[1])])
+
+
+def _any_grow_cfg(data, p: int) -> GrowConfig:
+    return GrowConfig(
+        mtry=data.draw(st.integers(min_value=1, max_value=p), label="mtry"),
+        min_node_size=data.draw(st.sampled_from([1, 3, 7]), label="min_node_size"),
+        node_size_semantics=data.draw(st.sampled_from(NodeSizeSemantics), label="semantics"),
+        max_depth=data.draw(st.sampled_from([None, 3]), label="max_depth"),
+        tie_break=data.draw(st.sampled_from(TieBreak), label="tie_break"),
+    )
+
+
+class TestGrowOnCounts:
+    """Growing on distinct rows with in-bag counts changes no tree."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_weighted_split_equals_split_on_repeated_rows(self, data):
+        ds = _tied_dataset(data)
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rows seed"))
+        rows = gen.permutation(ds.n)[: data.draw(st.integers(1, ds.n), label="distinct rows")]
+        counts = gen.integers(1, 5, size=rows.size)
+        repeated = np.repeat(rows, counts)
+        parent = class_counts_of(ds.labels[repeated], ds.c)
+        cfg = _any_grow_cfg(data, ds.p)
+        cands = [int(f) for f in gen.permutation(ds.p)[: cfg.mtry]]
+        # One column per block as well, so the chosen column can lie in an
+        # earlier block than the last.
+        cells = data.draw(st.sampled_from([1, BLOCK_CELLS]), label="block cells")
+        with mock.patch("detforest.cart.BLOCK_CELLS", cells):
+            weighted = best_split(ds, rows, cands, parent, cfg, counts)
+            assert weighted == best_split(ds, repeated, cands, parent, cfg)
+
+    def test_unit_weights_are_the_unweighted_search(self):
+        ds = duplicated_feature_dataset()
+        rows = np.arange(ds.n)
+        parent = class_counts_of(ds.labels, ds.c)
+        for tb in TieBreak:
+            cfg = _grow_cfg(mtry=2, tie_break=tb)
+            assert best_split(ds, rows, [1, 0], parent, cfg, np.ones(ds.n)) == best_split(
+                ds, rows, [1, 0], parent, cfg
+            )
+
+    def test_weights_must_match_rows(self):
+        ds = duplicated_feature_dataset()
+        parent = class_counts_of(ds.labels, ds.c)
+        with pytest.raises(ValueError):
+            best_split(ds, np.arange(ds.n), [0], parent, _grow_cfg(), np.ones(ds.n - 1))
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_tree_equals_tree_grown_on_repeated_rows(self, data):
+        ds = _tied_dataset(data)
+        cfg = _any_grow_cfg(data, ds.p)
+        rng = derive_stream(data.draw(st.integers(0, 2**64 - 1), label="seed"), 0)
+        replace = data.draw(st.booleans(), label="replace")
+        fraction = data.draw(st.sampled_from([0.5, 1.0]), label="fraction")
+        sample, rng = bootstrap_sample(rng, ds.n, replace, fraction)
+        rows = np.asarray(sample.indices, dtype=np.intp)
+        expected = reference_grow_tree(ds, rows, cfg, rng)
+        # Blocks of one and of two candidate draws cross block boundaries
+        # inside small trees.
+        block_values = data.draw(st.sampled_from([1, 2 * ds.p, 1 << 13]), label="draw block")
+        with mock.patch("detforest.cart.DRAW_BLOCK_VALUES", block_values):
+            assert trees_equal_exact(grow_tree(ds, rows, cfg, rng), expected)
+
+    @pytest.mark.parametrize("tie_break", list(TieBreak))
+    def test_bootstrap_tree_on_larger_data(self, tie_break):
+        # A fully grown tree of a few hundred nodes on a bootstrap sample,
+        # with exact-copy features for cross-feature ties.
+        gen = np.random.default_rng(7)
+        features = gen.integers(0, 20, size=(400, 30)).astype(np.float64)
+        features[:, 20:] = features[:, :10]
+        ds = Dataset(features, gen.integers(0, 3, size=400), [f"f{i}" for i in range(30)])
+        sample, rng = bootstrap_sample(derive_stream(3, 1), ds.n, True, 1.0)
+        rows = np.asarray(sample.indices, dtype=np.intp)
+        assert np.unique(rows).size < rows.size
+        cfg = GrowConfig(mtry=5, tie_break=tie_break)
+        tree = grow_tree(ds, rows, cfg, rng)
+        assert sum(1 for _ in iter_nodes(tree)) > 50
+        assert trees_equal_exact(tree, reference_grow_tree(ds, rows, cfg, rng))
 
 
 class TestGrowTree:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,47 @@ class TestDatasetValidation:
 
 
 class TestCsvRoundTrip:
+    # SHA-256 of the files save_csv wrote when it formatted cell by cell
+    # through csv.writer; the bytes must not change.
+    @pytest.mark.parametrize(
+        "make, label_column, digest",
+        [
+            (
+                lambda: Dataset(
+                    np.array(
+                        [
+                            [5e-324, 1e308, 3.0],
+                            [0.1, 1e-05, 123456789.125],
+                            [0.0, 2.5e-310, 1.7976931348623157e308],
+                        ]
+                    ),
+                    np.array([0, 2, 1]),
+                    ["plain", "has,comma", 'has "quote"'],
+                ),
+                "lab el,x",
+                "e01cef0c19d15fea19c617d1ad68e405af5fc55716434f1d1c9300a549ece877",
+            ),
+            (
+                lambda: generate_synthetic_formulas(200, 9, 3),
+                "label",
+                "1648245e98850b0398389ae98fbfad36f6d6e6474ce0afb49507206a4eb3c351",
+            ),
+        ],
+        ids=["awkward", "synthetic"],
+    )
+    def test_bytes_pinned(self, tmp_path, make, label_column, digest):
+        path = tmp_path / "data.csv"
+        save_csv(make(), path, label_column=label_column)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_quoted_names_load_back(self, tmp_path):
+        ds = Dataset(np.array([[5e-324, 1e308]]), np.array([1]), ["a,b", 'c"d'])
+        path = tmp_path / "data.csv"
+        save_csv(ds, path, label_column="y,z")
+        back = load_csv(path, "y,z")
+        assert back.feature_names == ds.feature_names
+        assert back.features.tolist() == [[5e-324, 1e308]]
+
     def test_round_trip_bit_identical(self, tmp_path):
         rows = 37
         ds = generate_synthetic_formulas(rows, 5, 123)

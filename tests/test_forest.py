@@ -28,7 +28,7 @@ from detforest import (
     save_forest,
     train_test_split,
 )
-from detforest.cart import DecisionTree, Leaf, trees_equal_exact
+from detforest.cart import DecisionTree, Internal, Leaf, iter_nodes, trees_equal_exact
 from detforest.forest import (
     _argmax_lowest,
     bootstrap_sample,
@@ -310,6 +310,59 @@ class TestAggregation:
             predict_classes(f, np.array([1.0]))
         with pytest.raises(ValueError):
             predict_classes(f, np.zeros((2, 3)))
+
+
+class TestBatchedPrediction:
+    """predict_classes routes all rows at once; the per-row functions are the reference."""
+
+    @pytest.mark.parametrize("max_depth", [3, None])
+    def test_equals_per_row_aggregation(self, max_depth):
+        ds = generate_synthetic_formulas(300, 6, 4)
+        split = train_test_split(ds, 0.7, 4)
+        f = fit(ds, split, ForestConfig(n_trees=9, max_depth=max_depth, seed=4))
+        impure = any(max(leaf.class_counts) < leaf.n_samples
+                     for tree in f.trees for leaf, _ in iter_nodes(tree) if isinstance(leaf, Leaf))
+        assert impure == (max_depth is not None)
+        rows = ds.features
+        votes = predict_classes(f, rows, Aggregation.MAJORITY_VOTE)
+        means = predict_classes(f, rows, Aggregation.MEAN_PROBABILITY)
+        assert votes == [predict_majority(f, x) for x in rows]
+        assert means == [predict_argmax_proba(f, x) for x in rows]
+        assert means == [_argmax_lowest(predict_proba(f, x)) for x in rows]
+        if max_depth is not None:
+            assert votes != means  # impure leaves make the modes disagree somewhere
+
+    def test_ties_go_to_the_lowest_class(self):
+        rows = np.zeros((3, 1))
+        f = _leaf_forest([(0, 1), (1, 0)], 2)
+        assert predict_classes(f, rows, Aggregation.MAJORITY_VOTE) == [0, 0, 0]
+        f = _leaf_forest([(0, 1, 1), (0, 1, 1)], 3)
+        assert predict_classes(f, rows, Aggregation.MEAN_PROBABILITY) == [1, 1, 1]
+
+    def test_value_equal_to_threshold_goes_left(self):
+        root = Internal(feature=0, threshold=2.0, left=_leaf((1, 0)), right=_leaf((0, 1)),
+                        n_samples=2, gini=0.5, class_counts=(1, 1))
+        tree = DecisionTree(root=root, n_features=1, n_classes=2)
+        f = Forest(trees=(tree,), config=ForestConfig(n_trees=1), n_features=1, n_classes=2)
+        rows = np.array([[2.0], [np.nextafter(2.0, 3.0)], [0.0]])
+        for agg in Aggregation:
+            assert predict_classes(f, rows, agg) == [0, 1, 0]
+            assert predict_classes(f, rows, agg) == [predict_class(f, x, agg) for x in rows]
+
+    def test_no_rows(self):
+        f = _leaf_forest([(1, 0)], 2)
+        assert predict_classes(f, np.zeros((0, 1))) == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        f = _leaf_forest([(1, 0)], 2)
+        rows = np.zeros((4, 1))
+        rows[2, 0] = bad
+        with pytest.raises(ValueError, match="row 2, column 0"):
+            predict_classes(f, rows)
+        for agg in Aggregation:
+            with pytest.raises(ValueError, match="column 0"):
+                predict_class(f, rows[2], agg)
 
 
 class TestAccuracy:
