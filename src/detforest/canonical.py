@@ -57,9 +57,9 @@ def canonicalize(tree: DecisionTree) -> CanonicalTree:
     out: list[CanonicalNode] = []
     for node, depth in iter_nodes(tree):
         if isinstance(node, Internal):
-            nl = node.left.n_samples
-            nr = node.right.n_samples
-            weighted = (nl * node.left.gini + nr * node.right.gini) / node.n_samples
+            left, right = tree.nodes[node.left], tree.nodes[node.right]
+            nl, nr = left.n_samples, right.n_samples
+            weighted = (nl * left.gini + nr * right.gini) / node.n_samples
             signature = (_round10(node.gini - weighted), nl, nr)
         else:
             signature = None

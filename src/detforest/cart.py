@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import zip_longest
 
 import numpy as np
 
@@ -95,15 +94,20 @@ class Leaf:
     n_samples: int
     class_counts: tuple[int, ...]
     gini: float
-    class_distribution: tuple[float, ...]
+
+    @property
+    def class_distribution(self) -> tuple[float, ...]:
+        return tuple(count / self.n_samples for count in self.class_counts)
 
 
 @dataclass(frozen=True)
 class Internal:
+    """A split node; `left` and `right` are positions in the tree's node list."""
+
     feature: int
     threshold: float
-    left: "TreeNode"
-    right: "TreeNode"
+    left: int
+    right: int
     n_samples: int
     gini: float
     class_counts: tuple[int, ...]
@@ -114,7 +118,14 @@ TreeNode = Leaf | Internal
 
 @dataclass(frozen=True)
 class DecisionTree:
-    root: TreeNode
+    """A tree as its preorder node list, the list `detforest.forest.v1` stores.
+
+    nodes[0] is the root, and the left child of an internal node i is node
+    i + 1.  Nothing in a tree refers to another node object, so equality,
+    hashing and copying never recurse.
+    """
+
+    nodes: tuple[TreeNode, ...]
     n_features: int
     n_classes: int
 
@@ -296,16 +307,6 @@ def best_split(
     )
 
 
-def _make_leaf(counts: ClassCounts, g: float) -> Leaf:
-    total = counts.total
-    return Leaf(
-        n_samples=total,
-        class_counts=counts.counts,
-        gini=g,
-        class_distribution=tuple(count / total for count in counts.counts),
-    )
-
-
 def grow_tree(ds: Dataset, row_indices: np.ndarray, cfg: GrowConfig, rng: RngState) -> DecisionTree:
     """Grow a tree on the given rows, threading the PRNG state in preorder.
 
@@ -320,10 +321,11 @@ def grow_tree(ds: Dataset, row_indices: np.ndarray, cfg: GrowConfig, rng: RngSta
     tree as growing on the repeated rows (see best_split): node sizes and
     class counts are the weighted ones.
 
-    Uses explicit stacks rather than recursion: a fully grown tree can be
-    deeper than the interpreter stack allows.  Nodes are visited in
-    preorder (left child first), which makes the PRNG consumption order
-    identical to the textbook recursive formulation.
+    Uses an explicit stack rather than recursion: a fully grown tree can be
+    deeper than the interpreter stack allows.  Nodes are visited, and
+    appended to the node list, in preorder (left child first), which makes
+    the PRNG consumption order identical to the textbook recursive
+    formulation.
     """
     cfg.validate(ds.p)
     idx = np.asarray(row_indices, dtype=np.intp)
@@ -333,29 +335,18 @@ def grow_tree(ds: Dataset, row_indices: np.ndarray, cfg: GrowConfig, rng: RngSta
     weights = weights.astype(np.float64)
     draws = PermutationStream(rng, ds.p, block=max(1, DRAW_BLOCK_VALUES // ds.p))
 
-    VISIT, ASSEMBLE = 0, 1
-    work: list[tuple] = [(VISIT, rows, weights, class_counts_of(ds.labels[idx], ds.c), 0)]
-    done: list[TreeNode] = []
+    # A split node's record is written once its right child's position is
+    # known: the right child's work item carries the parent's position,
+    # split, counts and gini, and the slot holds None until then.
+    nodes: list[TreeNode | None] = []
+    work: list[tuple] = [(rows, weights, class_counts_of(ds.labels[idx], ds.c), 0, None)]
     while work:
-        item = work.pop()
-        if item[0] == ASSEMBLE:
-            _, sp, counts, g = item
-            right_node = done.pop()
-            left_node = done.pop()
-            done.append(
-                Internal(
-                    feature=sp.feature,
-                    threshold=sp.threshold,
-                    left=left_node,
-                    right=right_node,
-                    n_samples=counts.total,
-                    gini=g,
-                    class_counts=counts.counts,
-                )
+        node_rows, node_weights, counts, depth, parent = work.pop()
+        if parent is not None:
+            i, sp, pc, pg = parent
+            nodes[i] = Internal(
+                sp.feature, sp.threshold, i + 1, len(nodes), pc.total, pg, pc.counts
             )
-            continue
-
-        _, node_rows, node_weights, counts, depth = item
         g = gini(counts)
         total = counts.total
         if (
@@ -363,35 +354,34 @@ def grow_tree(ds: Dataset, row_indices: np.ndarray, cfg: GrowConfig, rng: RngSta
             or (cfg.max_depth is not None and depth >= cfg.max_depth)
             or (cfg.node_size_semantics is NodeSizeSemantics.MIN_SPLIT and total < cfg.min_node_size)
         ):
-            done.append(_make_leaf(counts, g))
+            nodes.append(Leaf(total, counts.counts, g))
             continue
 
         # The first mtry entries of the node's permutation, as draw_candidates.
         candidates = draws.draw()[: cfg.mtry]
         sp = best_split(ds, node_rows, candidates, counts, cfg, node_weights)
         if sp is None:
-            done.append(_make_leaf(counts, g))
+            nodes.append(Leaf(total, counts.counts, g))
             continue
 
         mask = ds.features[node_rows, sp.feature] <= sp.threshold
-        # LIFO: the left visit lands on top so it is grown first; the
-        # assemble record fires once both children sit on `done`.
-        work.append((ASSEMBLE, sp, counts, g))
-        work.append((VISIT, node_rows[~mask], node_weights[~mask], sp.right_counts, depth + 1))
-        work.append((VISIT, node_rows[mask], node_weights[mask], sp.left_counts, depth + 1))
+        # LIFO: the left child lands on top so it is grown first, right
+        # after its parent's slot.
+        parent = (len(nodes), sp, counts, g)
+        work.append((node_rows[~mask], node_weights[~mask], sp.right_counts, depth + 1, parent))
+        work.append((node_rows[mask], node_weights[mask], sp.left_counts, depth + 1, None))
+        nodes.append(None)
 
-    return DecisionTree(root=done[0], n_features=ds.p, n_classes=ds.c)
+    return DecisionTree(nodes=tuple(nodes), n_features=ds.p, n_classes=ds.c)
 
 
 def iter_nodes(tree: DecisionTree):
     """Yield (node, depth) in preorder: parent, left subtree, right subtree."""
-    stack: list[tuple[TreeNode, int]] = [(tree.root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        yield node, depth
+    depths = [0] * len(tree.nodes)
+    for i, node in enumerate(tree.nodes):
+        yield node, depths[i]
         if isinstance(node, Internal):
-            stack.append((node.right, depth + 1))
-            stack.append((node.left, depth + 1))
+            depths[node.left] = depths[node.right] = depths[i] + 1
 
 
 def trees_equal_exact(a: DecisionTree, b: DecisionTree) -> bool:
@@ -399,27 +389,8 @@ def trees_equal_exact(a: DecisionTree, b: DecisionTree) -> bool:
 
     Thresholds and impurities are compared as exact floats; this is the
     strong notion of equality (the canonical one lives in `canonical`).
-    Iterative on purpose -- the generated dataclass __eq__ would recurse.
     """
-    if a.n_features != b.n_features or a.n_classes != b.n_classes:
-        return False
-    for (na, da), (nb, db) in zip_longest(iter_nodes(a), iter_nodes(b), fillvalue=(None, -1)):
-        if da != db or type(na) is not type(nb):
-            return False
-        if isinstance(na, Leaf):
-            if (na.n_samples, na.class_counts, na.gini) != (nb.n_samples, nb.class_counts, nb.gini):
-                return False
-        else:
-            assert isinstance(na, Internal) and isinstance(nb, Internal)
-            if (na.feature, na.threshold, na.n_samples, na.class_counts, na.gini) != (
-                nb.feature,
-                nb.threshold,
-                nb.n_samples,
-                nb.class_counts,
-                nb.gini,
-            ):
-                return False
-    return True
+    return (a.n_features, a.n_classes, a.nodes) == (b.n_features, b.n_classes, b.nodes)
 
 
 def predict_leaf(tree: DecisionTree, x: np.ndarray) -> Leaf:
@@ -427,7 +398,7 @@ def predict_leaf(tree: DecisionTree, x: np.ndarray) -> Leaf:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (tree.n_features,):
         raise ValueError(f"expected {tree.n_features} features, got shape {x.shape}")
-    node = tree.root
+    node = tree.nodes[0]
     while isinstance(node, Internal):
-        node = node.left if x[node.feature] <= node.threshold else node.right
+        node = tree.nodes[node.left if x[node.feature] <= node.threshold else node.right]
     return node

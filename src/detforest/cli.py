@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .canonical import canonicalize, forest_divergence
-from .cart import DecisionTree, Internal, Leaf, NodeSizeSemantics, TieBreak, TreeNode, iter_nodes, trees_equal_exact
+from .cart import DecisionTree, Internal, Leaf, NodeSizeSemantics, TieBreak, trees_equal_exact
 from .dataset import (
     Dataset,
     SplitIndices,
@@ -298,26 +298,19 @@ def audit_config_text(text: str) -> list[str]:
 def tree_to_dot(tree: DecisionTree) -> str:
     """DOT digraph of the tree; node ids follow preorder."""
     entries: list[str] = []
-    edges: list[str] = []
-    stack: list[tuple[TreeNode, int]] = [(tree.root, -1)]
-    count = 0
-    while stack:
-        node, parent = stack.pop()
-        nid = count
-        count += 1
-        if parent >= 0:
-            edges.append(f"  n{parent} -> n{nid};")
+    parent = [-1] * len(tree.nodes)
+    for nid, node in enumerate(tree.nodes):
         counts = list(node.class_counts)
         if isinstance(node, Internal):
             label = (
                 f"f{node.feature} ≤ {node.threshold!r} | n={node.n_samples} "
                 f"| gini={node.gini:.6g} | counts={counts}"
             )
-            stack.append((node.right, nid))
-            stack.append((node.left, nid))
+            parent[node.left] = parent[node.right] = nid
         else:
             label = f"n={node.n_samples} | gini={node.gini:.6g} | counts={counts}"
         entries.append(f'  n{nid} [label="{label}"];')
+    edges = [f"  n{parent[nid]} -> n{nid};" for nid in range(1, len(tree.nodes))]
     return "\n".join(["digraph tree {", "  node [shape=box];", *entries, *edges, "}"]) + "\n"
 
 
@@ -403,11 +396,11 @@ def _trial_seeds(base_seed: int, trials: int) -> list[int]:
 
 
 def _leaf_sizes(tree: DecisionTree) -> list[int]:
-    return [node.n_samples for node, _ in iter_nodes(tree) if isinstance(node, Leaf)]
+    return [node.n_samples for node in tree.nodes if isinstance(node, Leaf)]
 
 
 def _internal_sizes(tree: DecisionTree) -> list[int]:
-    return [node.n_samples for node, _ in iter_nodes(tree) if isinstance(node, Internal)]
+    return [node.n_samples for node in tree.nodes if isinstance(node, Internal)]
 
 
 def _describe_config(cfg: ForestConfig) -> str:

@@ -11,8 +11,8 @@ Two aggregation modes exist because real packages disagree: majority vote
 can legitimately classify a sample differently; with fully grown pure
 leaves they coincide.
 
-Forests serialize to a versioned JSON document with a flat preorder node
-list per tree, so round-tripping never recurses and the bytes are a stable
+Forests serialize to a versioned JSON document holding each tree's
+preorder node list as it is kept in memory, so the bytes are a stable
 function of the forest alone.
 """
 
@@ -28,13 +28,14 @@ from pathlib import Path
 import numpy as np
 
 from .cart import (
+    ClassCounts,
     DecisionTree,
     GrowConfig,
     Internal,
     Leaf,
     NodeSizeSemantics,
     TieBreak,
-    TreeNode,
+    gini,
     grow_tree,
     predict_leaf,
 )
@@ -246,7 +247,7 @@ def _route(tree: DecisionTree, features: np.ndarray) -> list[tuple[Leaf, np.ndar
     row at one node, and a row lands in the leaf predict_leaf returns for it.
     """
     out: list[tuple[Leaf, np.ndarray]] = []
-    stack: list[tuple[TreeNode, np.ndarray]] = [(tree.root, np.arange(features.shape[0]))]
+    stack = [(tree.nodes[0], np.arange(features.shape[0]))]
     while stack:
         node, rows = stack.pop()
         if isinstance(node, Leaf):
@@ -255,7 +256,7 @@ def _route(tree: DecisionTree, features: np.ndarray) -> list[tuple[Leaf, np.ndar
         go_left = features[rows, node.feature] <= node.threshold
         for child, part in ((node.right, rows[~go_left]), (node.left, rows[go_left])):
             if part.size:
-                stack.append((child, part))
+                stack.append((tree.nodes[child], part))
     return out
 
 
@@ -306,41 +307,29 @@ def accuracy(
 
 
 # --------------------------------------------------------------------------
-# Serialization.  Trees are stored as flat preorder node lists (children by
-# index) so that neither dumping nor loading recurses; json round-trips
-# floats through repr, which is exact.
+# Serialization.  A tree is stored as its preorder node list, children by
+# index, exactly as it is held in memory; json round-trips floats through
+# repr, which is exact.  Loading checks every field's JSON type and every
+# tree invariant, so a document either loads into a valid forest or raises
+# ValueError.
+
+
+def _int(value, what: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _float(value, what: str) -> float:
+    # float() of a larger JSON integer can overflow.
+    if type(value) is float or (type(value) is int and abs(value) <= 2**1023):
+        return float(value)
+    raise ValueError(f"{what} must be a number, got {value!r}")
 
 
 def _tree_to_doc(tree: DecisionTree) -> dict:
-    nodes: list[dict] = []
-    stack: list[tuple[TreeNode, int, str]] = [(tree.root, -1, "")]
-    while stack:
-        node, parent, side = stack.pop()
-        pos = len(nodes)
-        if parent >= 0:
-            nodes[parent][side] = pos
-        if isinstance(node, Leaf):
-            nodes.append(
-                {
-                    "n_samples": node.n_samples,
-                    "gini": node.gini,
-                    "class_counts": list(node.class_counts),
-                }
-            )
-        else:
-            nodes.append(
-                {
-                    "feature": node.feature,
-                    "threshold": node.threshold,
-                    "n_samples": node.n_samples,
-                    "gini": node.gini,
-                    "class_counts": list(node.class_counts),
-                    "left": -1,
-                    "right": -1,
-                }
-            )
-            stack.append((node.right, pos, "right"))
-            stack.append((node.left, pos, "left"))
+    # A node's fields are its document's keys.
+    nodes = [{**vars(node), "class_counts": list(node.class_counts)} for node in tree.nodes]
     return {"nodes": nodes}
 
 
@@ -348,44 +337,43 @@ def _tree_from_doc(doc: dict, n_features: int, n_classes: int) -> DecisionTree:
     raw = doc["nodes"]
     if not isinstance(raw, list) or not raw:
         raise ValueError("tree document has no nodes")
-    built: list[TreeNode | None] = [None] * len(raw)
-    for i in range(len(raw) - 1, -1, -1):
-        nd = raw[i]
-        counts = tuple(int(v) for v in nd["class_counts"])
-        if len(counts) != n_classes:
-            raise ValueError(f"node {i} has {len(counts)} class counts, expected {n_classes}")
-        total = int(nd["n_samples"])
-        if "feature" in nd:
-            li, ri = int(nd["left"]), int(nd["right"])
-            # Preorder guarantees children come after their parent.
-            if not (i < li < len(raw) and i < ri < len(raw)):
-                raise ValueError(f"node {i} has out-of-order child indices {li}, {ri}")
-            feature, threshold = int(nd["feature"]), float(nd["threshold"])
-            if not 0 <= feature < n_features:
-                raise ValueError(f"node {i} splits on feature {feature}, outside [0, {n_features})")
-            if not math.isfinite(threshold):
-                raise ValueError(f"node {i} has non-finite threshold {threshold!r}")
-            built[i] = Internal(
-                feature=feature,
-                threshold=threshold,
-                left=built[li],
-                right=built[ri],
-                n_samples=total,
-                gini=float(nd["gini"]),
-                class_counts=counts,
-            )
-        else:
-            if total != sum(counts):
-                raise ValueError(f"leaf {i} n_samples does not match its class counts")
-            built[i] = Leaf(
-                n_samples=total,
-                class_counts=counts,
-                gini=float(nd["gini"]),
-                class_distribution=tuple(count / total for count in counts),
-            )
-    root = built[0]
-    assert root is not None
-    return DecisionTree(root=root, n_features=n_features, n_classes=n_classes)
+    nodes: list[Leaf | Internal] = []
+    for i, nd in enumerate(raw):
+        counts = tuple(_int(v, f"node {i} class count") for v in nd["class_counts"])
+        total = _int(nd["n_samples"], f"node {i} n_samples")
+        g = _float(nd["gini"], f"node {i} gini")
+        if len(counts) != n_classes or total < 1 or sum(counts) != total or min(counts) < 0:
+            raise ValueError(f"node {i} has n_samples {total} and class counts {list(counts)}")
+        if g != gini(ClassCounts(counts)):
+            raise ValueError(f"node {i} stores gini {g!r}, not the gini of its class counts")
+        if "feature" not in nd:
+            nodes.append(Leaf(total, counts, g))
+            continue
+        feature = _int(nd["feature"], f"node {i} feature")
+        threshold = _float(nd["threshold"], f"node {i} threshold")
+        if not 0 <= feature < n_features:
+            raise ValueError(f"node {i} splits on feature {feature}, outside [0, {n_features})")
+        if not math.isfinite(threshold):
+            raise ValueError(f"node {i} has non-finite threshold {threshold!r}")
+        left, right = _int(nd["left"], f"node {i} left"), _int(nd["right"], f"node {i} right")
+        nodes.append(Internal(feature, threshold, left, right, total, g, counts))
+
+    # One walk from the root, left child first, must meet node k at step k
+    # and every node once: this rejects shared children, cycles and orphans.
+    stack = [0]
+    for k, node in enumerate(nodes):
+        if not stack or stack.pop() != k:
+            raise ValueError(f"node {k} is not reached at its preorder position from the root")
+        if isinstance(node, Internal):
+            if not (k < node.left < len(nodes) and k < node.right < len(nodes)):
+                raise ValueError(f"node {k} has children {node.left}, {node.right} out of order")
+            pair = zip(nodes[node.left].class_counts, nodes[node.right].class_counts)
+            if tuple(a + b for a, b in pair) != node.class_counts:
+                raise ValueError(f"node {k} class counts are not the sum of its children's")
+            stack += (node.right, node.left)
+    if stack:
+        raise ValueError(f"node {stack[-1]} is reached twice")
+    return DecisionTree(nodes=tuple(nodes), n_features=n_features, n_classes=n_classes)
 
 
 def _config_to_doc(cfg: ForestConfig) -> dict:
@@ -405,19 +393,21 @@ def _config_to_doc(cfg: ForestConfig) -> dict:
 
 def _config_from_doc(doc: dict) -> ForestConfig:
     mtry = doc["mtry"]
-    if mtry is not None and (isinstance(mtry, bool) or not isinstance(mtry, (int, str))):
-        raise ValueError(f"invalid mtry in forest document: {mtry!r}")
+    if mtry is not None and type(mtry) is not str:
+        mtry = _int(mtry, "config mtry")
+    if type(doc["bootstrap"]) is not bool:
+        raise ValueError(f"config bootstrap must be true or false, got {doc['bootstrap']!r}")
     return ForestConfig(
-        n_trees=int(doc["n_trees"]),
+        n_trees=_int(doc["n_trees"], "config n_trees"),
         mtry=mtry,
-        min_node_size=int(doc["min_node_size"]),
+        min_node_size=_int(doc["min_node_size"], "config min_node_size"),
         node_size_semantics=NodeSizeSemantics(doc["node_size_semantics"]),
-        max_depth=None if doc["max_depth"] is None else int(doc["max_depth"]),
+        max_depth=None if doc["max_depth"] is None else _int(doc["max_depth"], "config max_depth"),
         tie_break=TieBreak(doc["tie_break"]),
-        bootstrap=bool(doc["bootstrap"]),
-        sample_fraction=float(doc["sample_fraction"]),
+        bootstrap=doc["bootstrap"],
+        sample_fraction=_float(doc["sample_fraction"], "config sample_fraction"),
         aggregation=Aggregation(doc["aggregation"]),
-        seed=int(doc["seed"]),
+        seed=_int(doc["seed"], "config seed"),
     )
 
 
@@ -438,10 +428,14 @@ def forest_from_doc(doc: dict) -> Forest:
             if isinstance(doc, dict)
             else "forest document must be a JSON object"
         )
-    n_features = int(doc["n_features"])
-    n_classes = int(doc["n_classes"])
-    config = _config_from_doc(doc["config"])
-    trees = tuple(_tree_from_doc(td, n_features, n_classes) for td in doc["trees"])
+    try:
+        n_features = _int(doc["n_features"], "n_features")
+        n_classes = _int(doc["n_classes"], "n_classes")
+        config = _config_from_doc(doc["config"])
+        config.to_grow_config(n_features)  # rejects n_features < 1 and an mtry above it
+        trees = tuple(_tree_from_doc(td, n_features, n_classes) for td in doc["trees"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed forest document: {type(exc).__name__}: {exc}") from None
     if len(trees) != config.n_trees:
         raise ValueError(f"document has {len(trees)} trees but config says {config.n_trees}")
     return Forest(trees=trees, config=config, n_features=n_features, n_classes=n_classes)

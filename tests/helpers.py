@@ -13,6 +13,7 @@ from detforest import (
     DecisionTree,
     GrowConfig,
     Internal,
+    Leaf,
     NodeSizeSemantics,
     RngState,
     Split,
@@ -22,7 +23,6 @@ from detforest import (
     draw_candidates,
     gini,
 )
-from detforest.cart import _make_leaf
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -133,36 +133,30 @@ def reference_grow_tree(
     """grow_tree as it was before trees grew on in-bag counts.
 
     Every node holds its rows with their repeats, recounts its classes, and
-    draws its candidates with its own shuffle through draw_candidates.
+    draws its candidates with its own shuffle through draw_candidates.  Nodes
+    are appended in preorder, as grow_tree does; a split node's record is
+    written when its right child is visited.
     """
     cfg.validate(ds.p)
     idx = np.asarray(row_indices, dtype=np.intp)
     if idx.size == 0:
         raise ValueError("row_indices must be non-empty")
 
-    VISIT, ASSEMBLE = 0, 1
-    work: list[tuple] = [(VISIT, idx, 0)]
-    done: list[TreeNode] = []
+    nodes: list[TreeNode | None] = []
+    work: list[tuple] = [(idx, 0, None)]
     while work:
-        item = work.pop()
-        if item[0] == ASSEMBLE:
-            _, sp, counts, g = item
-            right_node = done.pop()
-            left_node = done.pop()
-            done.append(
-                Internal(
-                    feature=sp.feature,
-                    threshold=sp.threshold,
-                    left=left_node,
-                    right=right_node,
-                    n_samples=counts.total,
-                    gini=g,
-                    class_counts=counts.counts,
-                )
+        node_idx, depth, parent = work.pop()
+        if parent is not None:
+            i, sp, parent_counts, parent_gini = parent
+            nodes[i] = Internal(
+                feature=sp.feature,
+                threshold=sp.threshold,
+                left=i + 1,
+                right=len(nodes),
+                n_samples=parent_counts.total,
+                gini=parent_gini,
+                class_counts=parent_counts.counts,
             )
-            continue
-
-        _, node_idx, depth = item
         counts = class_counts_of(ds.labels[node_idx], ds.c)
         g = gini(counts)
         total = counts.total
@@ -171,18 +165,18 @@ def reference_grow_tree(
             or (cfg.max_depth is not None and depth >= cfg.max_depth)
             or (cfg.node_size_semantics is NodeSizeSemantics.MIN_SPLIT and total < cfg.min_node_size)
         ):
-            done.append(_make_leaf(counts, g))
+            nodes.append(Leaf(total, counts.counts, g))
             continue
 
         candidates, rng = draw_candidates(rng, ds.p, cfg.mtry)
         sp = best_split(ds, node_idx, candidates, counts, cfg)
         if sp is None:
-            done.append(_make_leaf(counts, g))
+            nodes.append(Leaf(total, counts.counts, g))
             continue
 
         mask = ds.features[node_idx, sp.feature] <= sp.threshold
-        work.append((ASSEMBLE, sp, counts, g))
-        work.append((VISIT, node_idx[~mask], depth + 1))
-        work.append((VISIT, node_idx[mask], depth + 1))
+        work.append((node_idx[~mask], depth + 1, (len(nodes), sp, counts, g)))
+        work.append((node_idx[mask], depth + 1, None))
+        nodes.append(None)
 
-    return DecisionTree(root=done[0], n_features=ds.p, n_classes=ds.c)
+    return DecisionTree(nodes=tuple(nodes), n_features=ds.p, n_classes=ds.c)

@@ -199,7 +199,7 @@ def test_criterion_5_node_size_semantics_shape_shallow_trees(capfd):
         undersized_child = False
         for node, _ in iter_nodes(fig1):
             if isinstance(node, Internal) and node.n_samples >= 1000:
-                for child in (node.left, node.right):
+                for child in (fig1.nodes[node.left], fig1.nodes[node.right]):
                     if isinstance(child, Leaf) and child.n_samples < 1000:
                         undersized_child = True
         assert undersized_child, (

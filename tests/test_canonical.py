@@ -29,17 +29,11 @@ from helpers import duplicated_feature_dataset, tiny_dataset
 
 
 def _leaf(counts, gini=0.0):
-    total = sum(counts)
-    return Leaf(
-        n_samples=total,
-        class_counts=tuple(counts),
-        gini=gini,
-        class_distribution=tuple(c / total for c in counts),
-    )
+    return Leaf(n_samples=sum(counts), class_counts=tuple(counts), gini=gini)
 
 
 def _single_leaf_tree(counts, gini=0.0):
-    return DecisionTree(root=_leaf(counts, gini), n_features=1, n_classes=len(counts))
+    return DecisionTree(nodes=(_leaf(counts, gini),), n_features=1, n_classes=len(counts))
 
 
 class TestRound10:
@@ -92,10 +86,10 @@ class TestCanonicalize:
         left = _leaf([2, 0])
         right = _leaf([0, 2])
         t1 = DecisionTree(
-            root=Internal(0, 2.5, left, right, 4, 0.5, (2, 2)), n_features=2, n_classes=2
+            nodes=(Internal(0, 2.5, 1, 2, 4, 0.5, (2, 2)), left, right), n_features=2, n_classes=2
         )
         t2 = DecisionTree(
-            root=Internal(1, 7.0, left, right, 4, 0.5, (2, 2)), n_features=2, n_classes=2
+            nodes=(Internal(1, 7.0, 1, 2, 4, 0.5, (2, 2)), left, right), n_features=2, n_classes=2
         )
         assert not trees_equal_exact(t1, t2)
         assert trees_equal_canonical(t1, t2)

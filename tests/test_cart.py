@@ -22,6 +22,7 @@ from detforest import (
 from detforest.cart import (
     BLOCK_CELLS,
     TIE_TOL,
+    DecisionTree,
     Internal,
     Leaf,
     _midpoint,
@@ -118,10 +119,10 @@ class TestMidpoints:
     def test_tree_grows_through_overflow_range(self):
         ds = tiny_dataset([[1.0e308, 1.2e308, 1.5e308, 1.7e308]], [0, 0, 1, 1])
         tree = grow_tree(ds, np.arange(4), _grow_cfg(), derive_stream(0, 0))
-        root = tree.root
+        root = tree.nodes[0]
         assert isinstance(root, Internal)
         assert np.isfinite(root.threshold)
-        assert root.left.n_samples == 2 and root.right.n_samples == 2
+        assert tree.nodes[root.left].n_samples == 2 and tree.nodes[root.right].n_samples == 2
         assert predict_leaf(tree, np.array([1.1e308])).class_counts == (2, 0)
         assert predict_leaf(tree, np.array([1.6e308])).class_counts == (0, 2)
 
@@ -485,24 +486,25 @@ class TestGrowTree:
         ds = duplicated_feature_dataset(copies_per_value=1)
         cfg = GrowConfig(mtry=2, tie_break=TieBreak.LOWEST_FEATURE_INDEX)
         tree = grow_tree(ds, np.arange(4), cfg, derive_stream(0, 0))
-        root = tree.root
+        root = tree.nodes[0]
         assert isinstance(root, Internal)
         assert root.feature == 0
         assert root.threshold == 2.5
         assert root.n_samples == 4
         assert root.class_counts == (2, 2)
         assert root.gini == pytest.approx(0.5, abs=1e-15)
-        assert isinstance(root.left, Leaf) and isinstance(root.right, Leaf)
-        assert root.left.class_counts == (2, 0)
-        assert root.right.class_counts == (0, 2)
-        assert root.left.class_distribution == (1.0, 0.0)
+        left, right = tree.nodes[root.left], tree.nodes[root.right]
+        assert isinstance(left, Leaf) and isinstance(right, Leaf)
+        assert left.class_counts == (2, 0)
+        assert right.class_counts == (0, 2)
+        assert left.class_distribution == (1.0, 0.0)
 
     def test_single_row_is_leaf(self):
         ds = tiny_dataset([[1.0, 2.0]], [0, 1])
         tree = grow_tree(ds, np.array([1]), _grow_cfg(), derive_stream(0, 0))
-        assert isinstance(tree.root, Leaf)
-        assert tree.root.n_samples == 1
-        assert tree.root.class_counts == (0, 1)
+        assert isinstance(tree.nodes[0], Leaf)
+        assert tree.nodes[0].n_samples == 1
+        assert tree.nodes[0].class_counts == (0, 1)
 
     def test_determinism_same_stream(self):
         ds = duplicated_feature_dataset(copies_per_value=5)
@@ -546,7 +548,7 @@ class TestGrowTree:
     def _check_invariants(self, ds: Dataset, tree, cfg: GrowConfig) -> None:
         assert tree.n_features == ds.p
         assert tree.n_classes == ds.c
-        root = tree.root
+        root = tree.nodes[0]
         root_n = root.n_samples
         for node, depth in iter_nodes(tree):
             if cfg.max_depth is not None:
@@ -554,20 +556,21 @@ class TestGrowTree:
             if isinstance(node, Internal):
                 if cfg.max_depth is not None:
                     assert depth < cfg.max_depth
+                left, right = tree.nodes[node.left], tree.nodes[node.right]
                 # sample conservation, child side
-                assert node.left.n_samples + node.right.n_samples == node.n_samples
+                assert left.n_samples + right.n_samples == node.n_samples
                 assert tuple(
                     l + r
-                    for l, r in zip(_counts(node.left), _counts(node.right))
+                    for l, r in zip(_counts(left), _counts(right))
                 ) == node.class_counts
                 assert 0 <= node.feature < ds.p
                 if cfg.node_size_semantics is NodeSizeSemantics.MIN_SPLIT:
                     assert node.n_samples >= cfg.min_node_size
                 else:
-                    assert node.left.n_samples >= cfg.min_node_size
-                    assert node.right.n_samples >= cfg.min_node_size
-                assert node.left.n_samples >= 1
-                assert node.right.n_samples >= 1
+                    assert left.n_samples >= cfg.min_node_size
+                    assert right.n_samples >= cfg.min_node_size
+                assert left.n_samples >= 1
+                assert right.n_samples >= 1
             else:
                 assert node.n_samples == sum(node.class_counts)
                 assert node.class_distribution == tuple(
@@ -625,12 +628,12 @@ class TestIterNodes:
         )
         nodes = list(iter_nodes(tree))
         # root first
-        assert nodes[0][0] is tree.root
+        assert nodes[0][0] is tree.nodes[0]
         assert nodes[0][1] == 0
-        root = tree.root
+        root = tree.nodes[0]
         assert isinstance(root, Internal)
         # left subtree appears entirely before the right subtree
-        left_ids = {id(n) for n, _ in _subtree_nodes(root.left)}
+        left_ids = {id(n) for n, _ in _subtree_nodes(tree, root.left)}
         seen_right = False
         for node, _ in nodes[1:]:
             if id(node) not in left_ids:
@@ -639,10 +642,11 @@ class TestIterNodes:
                 assert not seen_right, "left subtree must precede right"
 
 
-def _subtree_nodes(node):
-    stack = [(node, 0)]
+def _subtree_nodes(tree, i):
+    stack = [(i, 0)]
     while stack:
-        n, d = stack.pop()
+        i, d = stack.pop()
+        n = tree.nodes[i]
         yield n, d
         if isinstance(n, Internal):
             stack.append((n.right, d + 1))
@@ -687,21 +691,31 @@ class TestTreesEqualExact:
         stump = grow_tree(
             ds, np.arange(4), _grow_cfg(max_depth=1), derive_stream(0, 0)
         )
-        assert isinstance(full.root, Internal)
-        assert isinstance(full.root.right, Internal)
-        assert isinstance(stump.root.right, Leaf)
+        assert isinstance(full.nodes[0], Internal)
+        assert isinstance(full.nodes[full.nodes[0].right], Internal)
+        assert isinstance(stump.nodes[stump.nodes[0].right], Leaf)
         assert not trees_equal_exact(full, stump)
         assert not trees_equal_exact(stump, full)
+
+    def test_child_index_difference_detected(self):
+        # Every field of every node is the same except the root's right
+        # child index: the node lists describe different trees.
+        leaves = (Leaf(2, (2, 0), 0.0), Leaf(2, (0, 2), 0.0))
+        a = DecisionTree((Internal(0, 2.5, 1, 2, 4, 0.5, (2, 2)), *leaves), 1, 2)
+        b = DecisionTree((Internal(0, 2.5, 1, 1, 4, 0.5, (2, 2)), *leaves), 1, 2)
+        assert trees_equal_exact(a, a)
+        assert not trees_equal_exact(a, b)
+        assert not trees_equal_exact(b, a)
 
 
 class TestPredictLeaf:
     def test_boundary_goes_left(self):
         ds = tiny_dataset([[1.0, 2.0, 3.0, 4.0]], [0, 0, 1, 1])
         tree = grow_tree(ds, np.arange(4), _grow_cfg(), derive_stream(0, 0))
-        root = tree.root
+        root = tree.nodes[0]
         assert isinstance(root, Internal)
         left = predict_leaf(tree, np.array([root.threshold]))
-        assert left is root.left
+        assert left is tree.nodes[root.left]
 
     def test_training_rows_reach_own_label_leaf(self):
         from detforest import generate_synthetic_formulas

@@ -183,12 +183,12 @@ class TestFit:
         )
         f = fit(ds, split, cfg)
         for tree in f.trees:
-            assert tree.root.n_samples == len(split.train)
+            assert tree.nodes[0].n_samples == len(split.train)
 
     def test_bootstrap_trees_see_resampled_rows(self):
         ds, split = self._small()
         f = fit(ds, split, ForestConfig(n_trees=3, seed=4))
-        assert all(t.root.n_samples == len(split.train) for t in f.trees)
+        assert all(t.nodes[0].n_samples == len(split.train) for t in f.trees)
         # With replacement the trees almost surely differ from one another.
         assert not trees_equal_exact(f.trees[0], f.trees[1])
 
@@ -199,7 +199,7 @@ class TestFit:
             ForestConfig(n_trees=2, bootstrap=False, sample_fraction=0.5),
         )
         expected = round(0.5 * len(split.train))
-        assert all(t.root.n_samples == expected for t in f.trees)
+        assert all(t.nodes[0].n_samples == expected for t in f.trees)
 
     def test_metadata_recorded(self):
         ds, split = self._small()
@@ -223,13 +223,7 @@ class TestFit:
 
 
 def _leaf(counts: tuple[int, ...]) -> Leaf:
-    total = sum(counts)
-    return Leaf(
-        n_samples=total,
-        class_counts=counts,
-        gini=0.0,
-        class_distribution=tuple(c / total for c in counts),
-    )
+    return Leaf(n_samples=sum(counts), class_counts=counts, gini=0.0)
 
 
 def _leaf_forest(leaf_counts: list[tuple[int, ...]], n_classes: int,
@@ -237,7 +231,7 @@ def _leaf_forest(leaf_counts: list[tuple[int, ...]], n_classes: int,
     """Forest of single-leaf trees with fixed distributions (predictions
     ignore the input, which makes aggregation arithmetic directly checkable)."""
     trees = tuple(
-        DecisionTree(root=_leaf(c), n_features=1, n_classes=n_classes)
+        DecisionTree(nodes=(_leaf(c),), n_features=1, n_classes=n_classes)
         for c in leaf_counts
     )
     cfg = ForestConfig(n_trees=len(trees), aggregation=aggregation)
@@ -340,9 +334,9 @@ class TestBatchedPrediction:
         assert predict_classes(f, rows, Aggregation.MEAN_PROBABILITY) == [1, 1, 1]
 
     def test_value_equal_to_threshold_goes_left(self):
-        root = Internal(feature=0, threshold=2.0, left=_leaf((1, 0)), right=_leaf((0, 1)),
+        root = Internal(feature=0, threshold=2.0, left=1, right=2,
                         n_samples=2, gini=0.5, class_counts=(1, 1))
-        tree = DecisionTree(root=root, n_features=1, n_classes=2)
+        tree = DecisionTree(nodes=(root, _leaf((1, 0)), _leaf((0, 1))), n_features=1, n_classes=2)
         f = Forest(trees=(tree,), config=ForestConfig(n_trees=1), n_features=1, n_classes=2)
         rows = np.array([[2.0], [np.nextafter(2.0, 3.0)], [0.0]])
         for agg in Aggregation:
