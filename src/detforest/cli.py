@@ -44,10 +44,12 @@ from .forest import (
     Aggregation,
     Forest,
     ForestConfig,
+    _int,
     _tree_to_doc,
     accuracy,
     fit,
     load_forest,
+    read_json,
     save_forest,
 )
 from .prng import TRIAL_STREAM, derive_stream, next_u64
@@ -357,11 +359,15 @@ def _write_split_file(split: SplitIndices, path) -> None:
 
 
 def _read_split_file(path, n: int) -> SplitIndices:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = read_json(Path(path).read_text(encoding="utf-8"), f"split file {path}")
     if not isinstance(doc, dict) or doc.get("schema") != SPLIT_SCHEMA:
         raise ValueError(f"{path} is not a {SPLIT_SCHEMA} document")
-    train = tuple(int(i) for i in doc["train"])
-    test = tuple(int(i) for i in doc["test"])
+    parts = []
+    for key in ("train", "test"):
+        if not isinstance(doc.get(key), list):
+            raise ValueError(f"{path} has no {key} list of row indices")
+        parts.append(tuple(_int(i, f"{path} {key} index") for i in doc[key]))
+    train, test = parts
     if sorted(train + test) != list(range(n)):
         raise ValueError(f"split in {path} does not partition the {n} dataset rows")
     return SplitIndices(train=train, test=test)

@@ -91,20 +91,40 @@ def load_csv(path: str, label_column: str, composition: bool = False) -> Dataset
     integers are used as-is; anything else is mapped to 0, 1, 2, ... by
     first appearance.  Parse failures name the offending row and column
     (row numbers count data rows from 1, excluding the header).
+
+    A feature cell is any string ``float()`` accepts, except NaN.  Plain
+    files (see _NOT_PLAIN) are parsed by numpy's C reader; every other file,
+    and every file that reader refuses, by the per-cell loop, which accepts
+    the same values and alone builds the error messages.
     """
+    parsed = _load_plain(path, label_column)
+    if parsed is None:
+        try:
+            parsed = _load_cells(path, label_column)
+        except csv.Error as exc:  # such as a cell over csv.field_size_limit()
+            raise ValueError(f"cannot parse {path!r} as CSV: {exc}") from None
+    features, raw_labels, feature_names = parsed
+    return Dataset(features, _map_labels(raw_labels), feature_names, composition=composition)
+
+
+def _read_header(reader, path: str, label_column: str) -> tuple[list[str], int]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path!r} is empty, expected a header row") from None
+    if label_column not in header:
+        raise ValueError(f"label column {label_column!r} not in header {header}")
+    return header, header.index(label_column)
+
+
+def _load_cells(path: str, label_column: str) -> tuple[np.ndarray, list[str], list[str]]:
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot open {path!r}: {exc}") from exc
     with fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path!r} is empty, expected a header row") from None
-        if label_column not in header:
-            raise ValueError(f"label column {label_column!r} not in header {header}")
-        label_idx = header.index(label_column)
+        header, label_idx = _read_header(reader, path, label_column)
         feature_names = [h for i, h in enumerate(header) if i != label_idx]
 
         rows: list[list[float]] = []
@@ -128,8 +148,62 @@ def load_csv(path: str, label_column: str, composition: bool = False) -> Dataset
 
     if not rows:
         raise ValueError(f"{path!r} contains no data rows")
-    labels = _map_labels(raw_labels)
-    return Dataset(np.array(rows, dtype=np.float64), labels, feature_names, composition=composition)
+    return np.array(rows, dtype=np.float64), raw_labels, feature_names
+
+
+# Plain rows split on each "\n" and "," exactly as csv.reader splits them:
+# they hold no quote, no carriage return outside a "\r\n" pair, no blank
+# line (csv.reader reads it as a row of no cells, numpy's reader skips it)
+# and no NUL (csv.reader refuses it before Python 3.11).  numpy's C reader
+# parses them without a Python float per cell, through
+# PyOS_string_to_double, the routine float() uses, so the values are the
+# same bits.  It refuses the cells only float() accepts (underscores,
+# non-ASCII digits), and the caller then falls back.  It strips
+# "\x1c"-"\x1f" around a number as whitespace, which float() does only in
+# a cell with a non-ASCII character, so those stay out too.
+_NOT_PLAIN = ('"', "\0", "\x1c", "\x1d", "\x1e", "\x1f")
+_SCAN_CHARS = 1 << 20
+
+
+def _load_plain(path: str, label_column: str) -> tuple[np.ndarray, list[str], list[str]] | None:
+    """The file parsed by numpy's C reader, or None if it is not plain or holds a bad cell."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            # readline, not iteration, keeps fh.tell() usable after the header.
+            header, k = _read_header(csv.reader(iter(fh.readline, "")), path, label_column)
+            start = fh.tell()
+            if not _rows_are_plain(fh):
+                return None
+            fh.seek(start)
+            p = len(header) - 1
+            dtype = np.dtype(
+                [("before", np.float64, (k,)), ("label", object), ("after", np.float64, (p - k,))]
+            )
+            rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
+    except (OSError, ValueError, csv.Error):
+        return None
+    features = np.hstack([rows["before"], rows["after"]])
+    if np.isnan(features).any():  # the C reader accepts NaN
+        return None
+    return features, rows["label"].tolist(), header[:k] + header[k + 1 :]
+
+
+def _rows_are_plain(fh) -> bool:
+    """Whether the rest of fh has rows, and no blank line, lone carriage return or _NOT_PLAIN character."""
+    empty, last = True, "\n"  # the header ended a line
+    while chunk := fh.read(_SCAN_CHARS):
+        if chunk[-1] == "\r":
+            chunk += fh.read(1)
+        text = last + chunk
+        if (
+            any(c in chunk for c in _NOT_PLAIN)
+            or "\n\n" in text
+            or "\n\r\n" in text
+            or chunk.count("\r") != chunk.count("\r\n")
+        ):
+            return False
+        empty, last = False, chunk[-1]
+    return not empty
 
 
 def _map_labels(raw: list[str]) -> np.ndarray:

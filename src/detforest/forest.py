@@ -446,8 +446,16 @@ def forest_to_json(f: Forest) -> str:
     return json.dumps(forest_to_doc(f), sort_keys=True, separators=(",", ":"))
 
 
+def read_json(text: str, what: str):
+    """json.loads for an untrusted file: nesting too deep to parse raises ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply") from None
+
+
 def forest_from_json(text: str) -> Forest:
-    return forest_from_doc(json.loads(text))
+    return forest_from_doc(read_json(text, "forest document"))
 
 
 def save_forest(f: Forest, path) -> None:

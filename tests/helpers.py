@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from detforest import (
     draw_candidates,
     gini,
 )
+from detforest.dataset import _map_labels
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -180,3 +182,53 @@ def reference_grow_tree(
         nodes.append(None)
 
     return DecisionTree(nodes=tuple(nodes), n_features=ds.p, n_classes=ds.c)
+
+
+def reference_load_csv(path: str, label_column: str, composition: bool = False) -> Dataset:
+    """load_csv as it was before plain files went to numpy's C reader.
+
+    Every cell is parsed with float() in Python.  The rest is verbatim:
+
+    Feature columns keep file order.  Labels that are all plain non-negative
+    integers are used as-is; anything else is mapped to 0, 1, 2, ... by
+    first appearance.  Parse failures name the offending row and column
+    (row numbers count data rows from 1, excluding the header).
+    """
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot open {path!r}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path!r} is empty, expected a header row") from None
+        if label_column not in header:
+            raise ValueError(f"label column {label_column!r} not in header {header}")
+        label_idx = header.index(label_column)
+        feature_names = [h for i, h in enumerate(header) if i != label_idx]
+
+        rows: list[list[float]] = []
+        raw_labels: list[str] = []
+        for r, record in enumerate(reader, start=1):
+            if len(record) != len(header):
+                raise ValueError(f"row {r} has {len(record)} cells, expected {len(header)}")
+            vals = []
+            for i, cell in enumerate(record):
+                if i == label_idx:
+                    continue
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise ValueError(f"non-numeric cell at row {r}, column {header[i]!r}: {cell!r}") from None
+                if math.isnan(v):
+                    raise ValueError(f"NaN cell at row {r}, column {header[i]!r}")
+                vals.append(v)
+            rows.append(vals)
+            raw_labels.append(record[label_idx])
+
+    if not rows:
+        raise ValueError(f"{path!r} contains no data rows")
+    labels = _map_labels(raw_labels)
+    return Dataset(np.array(rows, dtype=np.float64), labels, feature_names, composition=composition)
