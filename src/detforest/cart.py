@@ -189,7 +189,9 @@ def best_split(
     defines a tie window of width TIE_TOL; the returned split is the window
     member selected by cfg.tie_break (FIRST_IN_DRAW_ORDER: first candidate
     in the given order; LOWEST_FEATURE_INDEX: smallest feature index; then,
-    within the feature, the smallest threshold).
+    within the feature, the smallest threshold).  The candidates are scanned
+    in that order (as given, or sorted by feature index), so the tie-break
+    order is the scan order: the split is the first window member met.
 
     `weights` holds a positive integer count per row (a bootstrap's in-bag
     counts), and `parent` the node's class counts under those weights.
@@ -204,11 +206,12 @@ def best_split(
     larger than that).  One block covers every candidate of a small node,
     which removes the per-candidate call overhead; blocks bound the memory
     of a large node, which holds the sort orders and class cumsums of one
-    block at a time and keeps only the (n - 1, mtry) matrix of weighted
-    impurities.  Every element goes through the same float
-    operations, in the same order, as a scan of one feature at a time, so
-    the result depends neither on the block size nor on how the sort
-    orders rows with equal values.
+    block at a time and keeps only the (mtry, n - 1) matrix of weighted
+    impurities.  Both children are evaluated in one array, left above
+    right.  Every element goes through the same float operations, in the
+    same order, as a scan of one feature and one side at a time, so the
+    result depends neither on the block size nor on how the sort orders
+    rows with equal values.
     """
     idx = np.asarray(row_indices, dtype=np.intp)
     n = idx.size
@@ -217,84 +220,85 @@ def best_split(
     w = None if weights is None else np.asarray(weights, dtype=np.float64)
     if w is not None and w.shape != idx.shape:
         raise ValueError(f"weights must have shape {idx.shape}, got {w.shape}")
+    if cfg.tie_break is TieBreak.LOWEST_FEATURE_INDEX:
+        candidates = sorted(candidates)
     cols = np.asarray(candidates, dtype=np.intp)
     if n < 2 or cols.size == 0:
         return None
-    if w is not None and w.max() == 1.0:
-        w = None  # every row counts once: the cheaper unweighted scan
     parent_gini = gini(parent)
     total = parent.total
-    y = ds.labels[idx]
+    c = ds.c
     min_leaf = cfg.min_node_size if cfg.node_size_semantics is NodeSizeSemantics.MIN_LEAF else 1
 
     # Counts are held as float64 (exact below 2**53): each division below is
     # then the same IEEE operation as on integer counts, minus the casts.
-    # Left sizes at the boundaries of every column, unless rows are weighted.
-    nl = np.arange(1.0, n)[:, None]
-    classes = np.arange(ds.c)[:, None, None]
-    totals = np.array(parent.counts, dtype=np.float64)[:, None, None]
-    # Weighted child impurity per (boundary, candidate); inf where inadmissible.
-    weighted_all = np.empty((n - 1, cols.size))
-    step = max(1, BLOCK_CELLS // (ds.c * n))
+    # units[k, i] (k < c) is row i's count (its weight, or 1) if its class is
+    # k, and units[c, i] is its count: cumsums of units along a sort order
+    # are the left class counts and the left size at every boundary.
+    units = np.empty((c + 1, n))
+    units[c] = 1.0 if w is None else w
+    np.equal(ds.labels[idx], np.arange(c)[:, None], out=units[:c])
+    if w is not None:
+        units[:c] *= w
+    totals = np.array((*parent.counts, total), dtype=np.float64)[:, None, None]
+    # Weighted child impurity per (candidate, boundary); inf where inadmissible.
+    weighted_all = np.empty((cols.size, n - 1))
+    step = max(1, BLOCK_CELLS // (c * n))
+    rows = idx[:, None]
     for lo in range(0, cols.size, step):
         block = cols[lo : lo + step]
-        x = ds.features[idx[:, None], block]
+        x = ds.features[rows, block]
         # Any sort order will do: the values are finite, so every boundary
         # between distinct values sees the same left counts however ties
         # are ordered, and boundaries inside a run of ties are inadmissible.
-        order = np.argsort(x, axis=0)
+        order = x.argsort(axis=0)
         xs = x[order, np.arange(block.size)]
-        head = order[:-1]
-        # Left class counts at every boundary, shape (c, n - 1, block), and
-        # the left sizes.
-        if w is None:
-            left = np.cumsum(y[head] == classes, axis=1, dtype=np.float64)
-        else:
-            ws = w[head]
-            left = np.cumsum((y[head] == classes) * ws, axis=1)
-            nl = np.cumsum(ws, axis=0)
-        nr = total - nl
-        pl = left / nl
-        pr = (totals - left) / nr
-        pl *= pl
-        pr *= pr
+        # Left (counts[0]) and right (counts[1] = totals - counts[0]) class
+        # counts and sizes at every boundary: shape (2, c + 1, n - 1, block).
+        counts = np.empty((2, c + 1, n - 1, block.size))
+        units.take(order[:-1], axis=1).cumsum(axis=1, out=counts[0])
+        np.subtract(totals, counts[0], out=counts[1])
+        sizes = counts[:, c]
+        p = counts[:, :c] / counts[:, c:]
+        p *= p
         # Class-square sums accumulated in class order (starting from the
-        # first square is starting from 0.0: squares are never -0.0).
-        gl_acc, gr_acc = pl[0], pr[0]
-        for k in range(1, ds.c):
-            gl_acc = gl_acc + pl[k]
-            gr_acc = gr_acc + pr[k]
-        weighted = (nl * (1.0 - gl_acc) + nr * (1.0 - gr_acc)) / total
-        admissible = (xs[:-1] != xs[1:]) & (weighted < parent_gini - TIE_TOL)
+        # first square is starting from 0.0: squares are never -0.0), then
+        # (nl * (1 - gl) + nr * (1 - gr)) / total, left term first.
+        g = p[:, 0]
+        for k in range(1, c):
+            g = g + p[:, k]
+        g = 1.0 - g
+        g *= sizes
+        weighted = np.add(g[0], g[1], out=weighted_all[lo : lo + step].T)
+        weighted /= total
+        inadmissible = xs[:-1] == xs[1:]
         if min_leaf > 1:
-            admissible &= (nl >= min_leaf) & (nr >= min_leaf)
-        weighted_all[:, lo : lo + step] = np.where(admissible, weighted, math.inf)
+            inadmissible |= (sizes < min_leaf).any(axis=0)
+        weighted[inadmissible] = math.inf
 
+    # A split must beat the parent by more than TIE_TOL: the window is capped
+    # at the largest float below that limit.
     best_weighted = weighted_all.min()
-    if best_weighted == math.inf:
+    limit = parent_gini - TIE_TOL
+    if not best_weighted < limit:
         return None
-    qualify = weighted_all <= best_weighted + TIE_TOL
-    in_window = np.flatnonzero(qualify.any(axis=0))
-    if cfg.tie_break is TieBreak.FIRST_IN_DRAW_ORDER:
-        col = int(in_window[0])
-    else:
-        col = int(in_window[np.argmin(cols[in_window])])
-    j = int(np.argmax(qualify[:, col]))
+    window = min(best_weighted + TIE_TOL, math.nextafter(limit, -math.inf))
+    # The first window member in scan order: candidate by candidate, then
+    # boundary by boundary.
+    col, j = divmod(int((weighted_all <= window).argmax()), n - 1)
 
     f = int(cols[col])
     if col >= lo:
         # The column is in the last block, whose sort and counts are at hand.
         xs = xs[:, col - lo]
-        left_counts = left[:, j, col - lo]
+        left_counts = counts[0, :c, j, col - lo]
     else:
         x = ds.features[idx, f]
-        order = np.argsort(x)
+        order = x.argsort()
         xs = x[order]
-        left_counts = np.bincount(
-            y[order[: j + 1]], weights=None if w is None else w[order[: j + 1]], minlength=ds.c
-        )
+        left_counts = units[:c, order[: j + 1]].sum(axis=1)
     threshold = _midpoint(float(xs[j]), float(xs[j + 1]))
-    weighted_value = float(weighted_all[j, col])
+    weighted_value = float(weighted_all[col, j])
     left = tuple(int(v) for v in left_counts.tolist())
     right = tuple(total_k - left_k for total_k, left_k in zip(parent.counts, left))
     return Split(

@@ -160,7 +160,9 @@ def _load_cells(path: str, label_column: str) -> tuple[np.ndarray, list[str], li
 # same bits.  It refuses the cells only float() accepts (underscores,
 # non-ASCII digits), and the caller then falls back.  It strips
 # "\x1c"-"\x1f" around a number as whitespace, which float() does only in
-# a cell with a non-ASCII character, so those stay out too.
+# a cell with a non-ASCII character, so those stay out too.  A line longer
+# than csv.field_size_limit() stays out as well: csv.reader refuses a cell
+# over that limit, and numpy's reader does not.
 _NOT_PLAIN = ('"', "\0", "\x1c", "\x1d", "\x1e", "\x1f")
 _SCAN_CHARS = 1 << 20
 
@@ -189,14 +191,22 @@ def _load_plain(path: str, label_column: str) -> tuple[np.ndarray, list[str], li
 
 
 def _rows_are_plain(fh) -> bool:
-    """Whether the rest of fh has rows, and no blank line, lone carriage return or _NOT_PLAIN character."""
-    empty, last = True, "\n"  # the header ended a line
+    """Whether the rest of fh has rows, and no blank line, lone carriage return,
+    _NOT_PLAIN character or line longer than csv.field_size_limit()."""
+    limit = csv.field_size_limit()
+    empty, last, line = True, "\n", 0  # the header ended a line
     while chunk := fh.read(_SCAN_CHARS):
         if chunk[-1] == "\r":
             chunk += fh.read(1)
         text = last + chunk
+        # `line` characters of the current line were read before `start`.
+        start = 0
+        while (end := chunk.find("\n", start, start + limit + 1 - line)) >= 0:
+            start, line = end + 1, 0
+        line += len(chunk) - start
         if (
-            any(c in chunk for c in _NOT_PLAIN)
+            line > limit
+            or any(c in chunk for c in _NOT_PLAIN)
             or "\n\n" in text
             or "\n\r\n" in text
             or chunk.count("\r") != chunk.count("\r\n")

@@ -37,7 +37,6 @@ from .cart import (
     TieBreak,
     gini,
     grow_tree,
-    predict_leaf,
 )
 from .dataset import Dataset, SplitIndices
 from .prng import RngState, bounded_uint_block, derive_stream, shuffle
@@ -115,17 +114,8 @@ class Forest:
     n_classes: int
 
 
-@dataclass(frozen=True)
-class BootstrapSample:
-    """Row indices for one tree, in draw order (a multiset when replace=True)."""
-
-    indices: tuple[int, ...]
-
-
-def bootstrap_sample(
-    rng: RngState, n: int, replace: bool, fraction: float
-) -> tuple[BootstrapSample, RngState]:
-    """Draw round(fraction * n) indices from [0, n).
+def bootstrap_sample(rng: RngState, n: int, replace: bool, fraction: float) -> tuple[np.ndarray, RngState]:
+    """Draw round(fraction * n) indices from [0, n), as an intp array.
 
     With replacement: independent bounded draws, kept in draw order.
     Without replacement: the first k entries of a full shuffle of [0, n).
@@ -139,9 +129,9 @@ def bootstrap_sample(
         raise ValueError(f"sample size round({fraction} * {n}) is zero")
     if replace:
         draws, rng = bounded_uint_block(rng, np.full(k, n, dtype=np.uint64))
-        return BootstrapSample(indices=tuple(draws.tolist())), rng
+        return draws.astype(np.intp), rng
     perm, rng = shuffle(rng, n)
-    return BootstrapSample(indices=tuple(perm[:k])), rng
+    return np.array(perm[:k], dtype=np.intp), rng
 
 
 def fit(ds: Dataset, split: SplitIndices, cfg: ForestConfig, n_workers: int = 1) -> Forest:
@@ -169,7 +159,7 @@ def fit(ds: Dataset, split: SplitIndices, cfg: ForestConfig, n_workers: int = 1)
             rows = train
         else:
             sample, rng = bootstrap_sample(rng, train.size, cfg.bootstrap, cfg.sample_fraction)
-            rows = train[np.asarray(sample.indices, dtype=np.intp)]
+            rows = train[sample]
         return grow_tree(ds, rows, grow_cfg, rng)
 
     if n_workers == 1:
@@ -210,34 +200,23 @@ def predict_majority(f: Forest, x: np.ndarray) -> int:
     Both the per-leaf argmax and the final vote break exact ties toward
     the lowest class id.
     """
-    x = _check_sample(f, x)
-    votes = [0] * f.n_classes
-    for tree in f.trees:
-        leaf = predict_leaf(tree, x)
-        votes[_argmax_lowest(leaf.class_distribution)] += 1
-    return _argmax_lowest(votes)
+    return predict_class(f, x, Aggregation.MAJORITY_VOTE)
 
 
 def predict_proba(f: Forest, x: np.ndarray) -> np.ndarray:
     """Mean of the leaf class distributions, accumulated in tree order."""
-    x = _check_sample(f, x)
-    acc = np.zeros(f.n_classes)
-    for tree in f.trees:
-        acc = acc + np.asarray(predict_leaf(tree, x).class_distribution)
-    return acc / len(f.trees)
+    return _scores(f, _check_sample(f, x)[None, :], Aggregation.MEAN_PROBABILITY)[0]
 
 
 def predict_argmax_proba(f: Forest, x: np.ndarray) -> int:
     """Argmax of the mean probabilities; exact ties go to the lowest class id."""
-    return _argmax_lowest(predict_proba(f, x))
+    return predict_class(f, x, Aggregation.MEAN_PROBABILITY)
 
 
 def predict_class(f: Forest, x: np.ndarray, aggregation: Aggregation | None = None) -> int:
     """Predict one class id using the given (or the configured) aggregation."""
     agg = aggregation if aggregation is not None else f.config.aggregation
-    if agg is Aggregation.MAJORITY_VOTE:
-        return predict_majority(f, x)
-    return predict_argmax_proba(f, x)
+    return int(np.argmax(_scores(f, _check_sample(f, x)[None, :], agg)[0]))
 
 
 def _route(tree: DecisionTree, features: np.ndarray) -> list[tuple[Leaf, np.ndarray]]:
@@ -260,14 +239,33 @@ def _route(tree: DecisionTree, features: np.ndarray) -> list[tuple[Leaf, np.ndar
     return out
 
 
+def _scores(f: Forest, features: np.ndarray, agg: Aggregation) -> np.ndarray:
+    """Per-row votes (each tree's _argmax_lowest leaf class) or mean leaf
+    distributions, accumulated in tree order; np.argmax of a row then gives
+    exact ties to the lowest class id."""
+    if agg is Aggregation.MAJORITY_VOTE:
+        scores = np.zeros((features.shape[0], f.n_classes), dtype=np.int64)
+        for tree in f.trees:
+            for leaf, rows in _route(tree, features):
+                scores[rows, _argmax_lowest(leaf.class_distribution)] += 1
+        return scores
+    scores = np.zeros((features.shape[0], f.n_classes))
+    for tree in f.trees:
+        dist = np.empty_like(scores)
+        for leaf, rows in _route(tree, features):
+            dist[rows] = leaf.class_distribution
+        scores += dist
+    scores /= len(f.trees)
+    return scores
+
+
 def predict_classes(
     f: Forest, features: np.ndarray, aggregation: Aggregation | None = None
 ) -> list[int]:
     """Predict a class id per row of a 2-D feature matrix.
 
-    The same ids as predict_class row by row, computed with all rows going
-    through each tree at once: votes or leaf distributions are accumulated
-    in tree order, and np.argmax resolves exact ties to the lowest class id.
+    The same ids as predict_class row by row: all rows go through each tree
+    at once, and the scores are the same floats in the same order.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != f.n_features:
@@ -276,20 +274,7 @@ def predict_classes(
         )
     _check_features(features)
     agg = aggregation if aggregation is not None else f.config.aggregation
-    if agg is Aggregation.MAJORITY_VOTE:
-        scores = np.zeros((features.shape[0], f.n_classes), dtype=np.int64)
-        for tree in f.trees:
-            for leaf, rows in _route(tree, features):
-                scores[rows, _argmax_lowest(leaf.class_distribution)] += 1
-    else:
-        scores = np.zeros((features.shape[0], f.n_classes))
-        for tree in f.trees:
-            dist = np.empty_like(scores)
-            for leaf, rows in _route(tree, features):
-                dist[rows] = leaf.class_distribution
-            scores += dist
-        scores /= len(f.trees)
-    return np.argmax(scores, axis=1).tolist()
+    return np.argmax(_scores(f, features, agg), axis=1).tolist()
 
 
 def accuracy(

@@ -23,8 +23,11 @@ from detforest import (
     class_counts_of,
     draw_candidates,
     gini,
+    predict_leaf,
 )
+from detforest.cart import BLOCK_CELLS, TieBreak, _midpoint
 from detforest.dataset import _map_labels
+from detforest.forest import Forest, _argmax_lowest, _check_sample
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -184,6 +187,29 @@ def reference_grow_tree(
     return DecisionTree(nodes=tuple(nodes), n_features=ds.p, n_classes=ds.c)
 
 
+def reference_predict_majority(f: Forest, x: np.ndarray) -> int:
+    """predict_majority as it was before one-row calls went through the batched scorer.
+
+    Each tree's leaf is found with predict_leaf; both the per-leaf argmax
+    and the final vote break exact ties toward the lowest class id.
+    """
+    x = _check_sample(f, x)
+    votes = [0] * f.n_classes
+    for tree in f.trees:
+        leaf = predict_leaf(tree, x)
+        votes[_argmax_lowest(leaf.class_distribution)] += 1
+    return _argmax_lowest(votes)
+
+
+def reference_predict_proba(f: Forest, x: np.ndarray) -> np.ndarray:
+    """predict_proba as it was: leaf distributions summed in tree order, per row."""
+    x = _check_sample(f, x)
+    acc = np.zeros(f.n_classes)
+    for tree in f.trees:
+        acc = acc + np.asarray(predict_leaf(tree, x).class_distribution)
+    return acc / len(f.trees)
+
+
 def reference_load_csv(path: str, label_column: str, composition: bool = False) -> Dataset:
     """load_csv as it was before plain files went to numpy's C reader.
 
@@ -232,3 +258,142 @@ def reference_load_csv(path: str, label_column: str, composition: bool = False) 
         raise ValueError(f"{path!r} contains no data rows")
     labels = _map_labels(raw_labels)
     return Dataset(np.array(rows, dtype=np.float64), labels, feature_names, composition=composition)
+
+
+def reference_best_split(
+    ds: Dataset,
+    row_indices: np.ndarray,
+    candidates: list[int],
+    parent: ClassCounts,
+    cfg: GrowConfig,
+    weights: np.ndarray | None = None,
+) -> Split | None:
+    """best_split as it was before both children shared one array.
+
+    It scans the candidates in the order given and picks the tie-break
+    column from the window with any/flatnonzero/argmin.  The rest is
+    verbatim:
+
+    Best admissible split of the node, or None if nothing qualifies.
+
+    Within a feature, every boundary between adjacent distinct sorted values
+    is evaluated.  The minimum weighted child impurity over all candidates
+    defines a tie window of width TIE_TOL; the returned split is the window
+    member selected by cfg.tie_break (FIRST_IN_DRAW_ORDER: first candidate
+    in the given order; LOWEST_FEATURE_INDEX: smallest feature index; then,
+    within the feature, the smallest threshold).
+
+    `weights` holds a positive integer count per row (a bootstrap's in-bag
+    counts), and `parent` the node's class counts under those weights.
+    Omitted, every row counts once.  A row with count w is the same node as
+    w copies of the row: copies share their values, so the boundaries
+    between them are inadmissible, and every admissible boundary sees the
+    same integer left size, right size and left class counts either way.
+
+    The search is column-blocked: each numpy call scans a block of columns
+    of the node's (n, mtry) sub-matrix, sized so that the block's per-class
+    cumsums hold at most BLOCK_CELLS values (or one column, if a node is
+    larger than that).  One block covers every candidate of a small node,
+    which removes the per-candidate call overhead; blocks bound the memory
+    of a large node, which holds the sort orders and class cumsums of one
+    block at a time and keeps only the (n - 1, mtry) matrix of weighted
+    impurities.  Every element goes through the same float
+    operations, in the same order, as a scan of one feature at a time, so
+    the result depends neither on the block size nor on how the sort
+    orders rows with equal values.
+    """
+    idx = np.asarray(row_indices, dtype=np.intp)
+    n = idx.size
+    if n == 0:
+        raise ValueError("row_indices must be non-empty")
+    w = None if weights is None else np.asarray(weights, dtype=np.float64)
+    if w is not None and w.shape != idx.shape:
+        raise ValueError(f"weights must have shape {idx.shape}, got {w.shape}")
+    cols = np.asarray(candidates, dtype=np.intp)
+    if n < 2 or cols.size == 0:
+        return None
+    if w is not None and w.max() == 1.0:
+        w = None  # every row counts once: the cheaper unweighted scan
+    parent_gini = gini(parent)
+    total = parent.total
+    y = ds.labels[idx]
+    min_leaf = cfg.min_node_size if cfg.node_size_semantics is NodeSizeSemantics.MIN_LEAF else 1
+
+    # Counts are held as float64 (exact below 2**53): each division below is
+    # then the same IEEE operation as on integer counts, minus the casts.
+    # Left sizes at the boundaries of every column, unless rows are weighted.
+    nl = np.arange(1.0, n)[:, None]
+    classes = np.arange(ds.c)[:, None, None]
+    totals = np.array(parent.counts, dtype=np.float64)[:, None, None]
+    # Weighted child impurity per (boundary, candidate); inf where inadmissible.
+    weighted_all = np.empty((n - 1, cols.size))
+    step = max(1, BLOCK_CELLS // (ds.c * n))
+    for lo in range(0, cols.size, step):
+        block = cols[lo : lo + step]
+        x = ds.features[idx[:, None], block]
+        # Any sort order will do: the values are finite, so every boundary
+        # between distinct values sees the same left counts however ties
+        # are ordered, and boundaries inside a run of ties are inadmissible.
+        order = np.argsort(x, axis=0)
+        xs = x[order, np.arange(block.size)]
+        head = order[:-1]
+        # Left class counts at every boundary, shape (c, n - 1, block), and
+        # the left sizes.
+        if w is None:
+            left = np.cumsum(y[head] == classes, axis=1, dtype=np.float64)
+        else:
+            ws = w[head]
+            left = np.cumsum((y[head] == classes) * ws, axis=1)
+            nl = np.cumsum(ws, axis=0)
+        nr = total - nl
+        pl = left / nl
+        pr = (totals - left) / nr
+        pl *= pl
+        pr *= pr
+        # Class-square sums accumulated in class order (starting from the
+        # first square is starting from 0.0: squares are never -0.0).
+        gl_acc, gr_acc = pl[0], pr[0]
+        for k in range(1, ds.c):
+            gl_acc = gl_acc + pl[k]
+            gr_acc = gr_acc + pr[k]
+        weighted = (nl * (1.0 - gl_acc) + nr * (1.0 - gr_acc)) / total
+        admissible = (xs[:-1] != xs[1:]) & (weighted < parent_gini - TIE_TOL)
+        if min_leaf > 1:
+            admissible &= (nl >= min_leaf) & (nr >= min_leaf)
+        weighted_all[:, lo : lo + step] = np.where(admissible, weighted, math.inf)
+
+    best_weighted = weighted_all.min()
+    if best_weighted == math.inf:
+        return None
+    qualify = weighted_all <= best_weighted + TIE_TOL
+    in_window = np.flatnonzero(qualify.any(axis=0))
+    if cfg.tie_break is TieBreak.FIRST_IN_DRAW_ORDER:
+        col = int(in_window[0])
+    else:
+        col = int(in_window[np.argmin(cols[in_window])])
+    j = int(np.argmax(qualify[:, col]))
+
+    f = int(cols[col])
+    if col >= lo:
+        # The column is in the last block, whose sort and counts are at hand.
+        xs = xs[:, col - lo]
+        left_counts = left[:, j, col - lo]
+    else:
+        x = ds.features[idx, f]
+        order = np.argsort(x)
+        xs = x[order]
+        left_counts = np.bincount(
+            y[order[: j + 1]], weights=None if w is None else w[order[: j + 1]], minlength=ds.c
+        )
+    threshold = _midpoint(float(xs[j]), float(xs[j + 1]))
+    weighted_value = float(weighted_all[j, col])
+    left = tuple(int(v) for v in left_counts.tolist())
+    right = tuple(total_k - left_k for total_k, left_k in zip(parent.counts, left))
+    return Split(
+        feature=f,
+        threshold=threshold,
+        left_counts=ClassCounts(left),
+        right_counts=ClassCounts(right),
+        weighted_child_impurity=weighted_value,
+        impurity_decrease=parent_gini - weighted_value,
+    )

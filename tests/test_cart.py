@@ -39,6 +39,7 @@ from detforest.prng import RngState, shuffle
 from helpers import (
     duplicated_feature_dataset,
     exhaustive_split_oracle,
+    reference_best_split,
     reference_grow_tree,
     tiny_dataset,
 )
@@ -408,6 +409,79 @@ def _any_grow_cfg(data, p: int) -> GrowConfig:
     )
 
 
+class TestBestSplitMatchesReference:
+    """best_split returns exactly the Split of the search it replaced."""
+
+    # Few distinct values, so that boundaries tie within a column and, with
+    # duplicated columns, across columns; 1e308 takes the overflow midpoint.
+    VALUES = [0.0, 0.5, 1.0, 2.0, 3.5, 1e308]
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_same_split_as_reference_best_split(self, data):
+        c = data.draw(st.integers(2, 4), label="classes")
+        n = data.draw(st.integers(2, 24), label="rows")
+        p = data.draw(st.integers(1, 5), label="features")
+        column = st.lists(st.sampled_from(self.VALUES), min_size=n, max_size=n)
+        columns = data.draw(st.lists(column, min_size=p, max_size=p), label="columns")
+        copies = data.draw(st.lists(st.integers(0, p - 1), max_size=3), label="duplicated columns")
+        columns += [columns[k] for k in copies]
+        labels = data.draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n), label="labels")
+        labels[data.draw(st.integers(0, n - 1), label="row of the last class")] = c - 1
+        ds = tiny_dataset(columns, labels)
+        rows = np.array(
+            data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True), label="rows")
+        )
+        kind = data.draw(st.sampled_from(["omitted", "ones", "counts"]), label="weights")
+        if kind == "omitted":
+            weights = None
+        elif kind == "ones":
+            weights = np.ones(rows.size)
+        else:
+            counts = st.lists(st.integers(1, 4), min_size=rows.size, max_size=rows.size)
+            weights = np.array(data.draw(counts, label="counts"), dtype=np.float64)
+        parent = ClassCounts(
+            tuple(int(v) for v in np.bincount(ds.labels[rows], weights=weights, minlength=ds.c))
+        )
+        order = data.draw(st.permutations(range(ds.p)), label="draw order")
+        candidates = order[: data.draw(st.integers(1, ds.p), label="mtry")]
+        cfg = GrowConfig(
+            mtry=len(candidates),
+            min_node_size=data.draw(st.integers(1, 4), label="min_node_size"),
+            node_size_semantics=data.draw(st.sampled_from(list(NodeSizeSemantics)), label="semantics"),
+            tie_break=data.draw(st.sampled_from(list(TieBreak)), label="tie-break"),
+        )
+        # One column per block puts the chosen column in an earlier block
+        # than the last whenever it is not the last scanned.
+        cells = data.draw(st.sampled_from([1, BLOCK_CELLS]), label="block cells")
+        with mock.patch("detforest.cart.BLOCK_CELLS", cells):
+            got = best_split(ds, rows, candidates, parent, cfg, weights)
+        expected = reference_best_split(ds, rows, candidates, parent, cfg, weights)
+        assert got == expected
+        assert repr(got) == repr(expected)
+
+    def test_window_stops_below_the_improvement_limit(self):
+        # A class-0 row of count ~2.5e12 and three class-1 rows: splitting
+        # off one class-1 row (feature 0) lowers the impurity by ~0.8e-12,
+        # two (feature 1) by ~1.6e-12.  Feature 0's split lies in the tie
+        # window of the best one but does not improve on the parent by more
+        # than TIE_TOL, so it must not win even where it is scanned first.
+        big = 2_500_000_000_000 - 3
+        ds = tiny_dataset([[1.0, 0.0, 1.0, 1.0], [1.0, 0.0, 0.0, 1.0]], [0, 1, 1, 1])
+        rows = np.arange(4)
+        weights = np.array([big, 1, 1, 1], dtype=np.float64)
+        parent = ClassCounts((big, 3))
+        assert best_split(ds, rows, [0], parent, _grow_cfg(), weights) is None
+        feature_0 = (big + 2) * gini(ClassCounts((big, 2))) / (big + 3)
+        assert feature_0 >= gini(parent) - TIE_TOL
+        for tb in TieBreak:
+            cfg = _grow_cfg(mtry=2, tie_break=tb)
+            got = best_split(ds, rows, [0, 1], parent, cfg, weights)
+            assert got == reference_best_split(ds, rows, [0, 1], parent, cfg, weights)
+            assert (got.feature, got.left_counts) == (1, ClassCounts((0, 2)))
+            assert got.weighted_child_impurity < feature_0 <= got.weighted_child_impurity + TIE_TOL
+
+
 class TestGrowOnCounts:
     """Growing on distinct rows with in-bag counts changes no tree."""
 
@@ -453,8 +527,7 @@ class TestGrowOnCounts:
         rng = derive_stream(data.draw(st.integers(0, 2**64 - 1), label="seed"), 0)
         replace = data.draw(st.booleans(), label="replace")
         fraction = data.draw(st.sampled_from([0.5, 1.0]), label="fraction")
-        sample, rng = bootstrap_sample(rng, ds.n, replace, fraction)
-        rows = np.asarray(sample.indices, dtype=np.intp)
+        rows, rng = bootstrap_sample(rng, ds.n, replace, fraction)
         expected = reference_grow_tree(ds, rows, cfg, rng)
         # Blocks of one and of two candidate draws cross block boundaries
         # inside small trees.
@@ -470,8 +543,7 @@ class TestGrowOnCounts:
         features = gen.integers(0, 20, size=(400, 30)).astype(np.float64)
         features[:, 20:] = features[:, :10]
         ds = Dataset(features, gen.integers(0, 3, size=400), [f"f{i}" for i in range(30)])
-        sample, rng = bootstrap_sample(derive_stream(3, 1), ds.n, True, 1.0)
-        rows = np.asarray(sample.indices, dtype=np.intp)
+        rows, rng = bootstrap_sample(derive_stream(3, 1), ds.n, True, 1.0)
         assert np.unique(rows).size < rows.size
         cfg = GrowConfig(mtry=5, tie_break=tie_break)
         tree = grow_tree(ds, rows, cfg, rng)

@@ -7,6 +7,8 @@ labels and names, or a ValueError with the same message.
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,12 +170,28 @@ def test_scan_reads_past_its_chunk(tmp_path, monkeypatch):
 
 
 def test_overlong_cell(tmp_path):
-    # csv.reader refuses a cell over 131072 characters; numpy's reader does
-    # not, so a plain file reads it and any other file fails with ValueError.
+    # csv.reader refuses a cell over csv.field_size_limit() (131072)
+    # characters and numpy's reader does not, so a line over that limit is
+    # not plain: a plain file and any other file fail with the same error.
     cell = "0" * 200_000 + "1"
     path = tmp_path / "data.csv"
-    path.write_text(f"a,label\n{cell},0\n", encoding="utf-8")
-    assert load_csv(path, "label").features.tolist() == [[1.0]]
-    path.write_text(f'a,label\n{cell},"0"\n', encoding="utf-8")
-    with pytest.raises(ValueError, match="field larger than field limit"):
-        load_csv(path, "label")
+    for label in ("0", '"0"'):
+        path.write_text(f"a,label\n{cell},{label}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="field larger than field limit"):
+            load_csv(path, "label")
+
+
+@pytest.mark.parametrize("scan_chars", [1000, 1 << 20])
+def test_line_over_field_limit_is_not_plain(tmp_path, monkeypatch, scan_chars):
+    # A line of exactly the limit is plain; one character more goes to the
+    # per-cell loop, which still reads it (its cells are within the limit).
+    # Lines longer than a chunk carry their length across chunks.
+    monkeypatch.setattr(dataset, "_SCAN_CHARS", scan_chars)
+    limit = csv.field_size_limit()
+    path = tmp_path / "data.csv"
+    for extra, c_path in ((0, True), (1, False)):
+        row = "0" * (limit - 3 + extra) + "1,0"
+        path.write_text(f"a,label\n1,0\n{row}\n2,1\n", encoding="utf-8")
+        assert (dataset._load_plain(path, "label") is not None) == c_path
+        _check_same_as_reference(path)
+        assert load_csv(path, "label").features.tolist() == [[1.0], [1.0], [2.0]]

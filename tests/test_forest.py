@@ -38,44 +38,52 @@ from detforest.forest import (
 )
 from detforest.prng import bounded_uint, shuffle
 
-from helpers import GOLDEN, MASK64, duplicated_feature_dataset, state_with_draw, tiny_dataset
+from helpers import (
+    GOLDEN,
+    MASK64,
+    duplicated_feature_dataset,
+    reference_predict_majority,
+    reference_predict_proba,
+    state_with_draw,
+    tiny_dataset,
+)
 
 
 class TestBootstrapSample:
     def test_full_shuffle_without_replacement(self):
         rng = derive_stream(1, 2)
         s, after = bootstrap_sample(rng, 8, False, 1.0)
-        assert sorted(s.indices) == list(range(8))
+        assert sorted(s.tolist()) == list(range(8))
         perm, after_ref = shuffle(rng, 8)
-        assert list(s.indices) == perm
+        assert s.tolist() == perm
         assert after == after_ref
 
     def test_half_without_replacement_is_shuffle_prefix(self):
         rng = derive_stream(5, 0)
         s, _ = bootstrap_sample(rng, 10, False, 0.5)
-        assert len(s.indices) == 5
-        assert len(set(s.indices)) == 5
-        assert s.indices == (6, 5, 2, 8, 4)
+        assert len(s) == 5
+        assert len(set(s.tolist())) == 5
+        assert s.tolist() == [6, 5, 2, 8, 4]
         perm, _ = shuffle(rng, 10)
-        assert list(s.indices) == perm[:5]
+        assert s.tolist() == perm[:5]
 
     def test_with_replacement_pinned_and_matches_bounded_draws(self):
         rng = derive_stream(5, 0)
         s, after = bootstrap_sample(rng, 4, True, 1.0)
-        assert s.indices == (3, 0, 0, 1)  # draw order kept, repeats allowed
+        assert s.tolist() == [3, 0, 0, 1]  # draw order kept, repeats allowed
         ref = []
         r = rng
         for _ in range(4):
             v, r = bounded_uint(r, 4)
             ref.append(v)
-        assert list(s.indices) == ref
+        assert s.tolist() == ref
         assert after == r
 
     def test_sample_size_rounds_half_to_even(self):
         s, _ = bootstrap_sample(derive_stream(0, 0), 5, True, 0.5)
-        assert len(s.indices) == 2  # round(2.5) = 2
+        assert len(s) == 2  # round(2.5) = 2
         s, _ = bootstrap_sample(derive_stream(0, 0), 7, True, 0.5)
-        assert len(s.indices) == 4  # round(3.5) = 4
+        assert len(s) == 4  # round(3.5) = 4
 
     def test_with_replacement_rejected_draw_falls_back_to_scalar_draws(self):
         # 2**64 mod 5 is 1, so 2**64 - 1 is rejected for n = 5 and redrawn.
@@ -85,8 +93,8 @@ class TestBootstrapSample:
         for _ in range(5):
             v, r = bounded_uint(r, 5)
             ref.append(v)
-        assert list(s.indices) == ref
-        assert all(type(i) is int for i in s.indices)
+        assert s.tolist() == ref
+        assert s.dtype == np.intp  # indexes a row array as it is
         assert after == r
         assert after.state == (rng.state + 6 * GOLDEN) & MASK64  # one extra step
 
@@ -307,7 +315,7 @@ class TestAggregation:
 
 
 class TestBatchedPrediction:
-    """predict_classes routes all rows at once; the per-row functions are the reference."""
+    """predict_classes routes all rows at once; helpers' per-row predict_leaf walks are the reference."""
 
     @pytest.mark.parametrize("max_depth", [3, None])
     def test_equals_per_row_aggregation(self, max_depth):
@@ -325,6 +333,23 @@ class TestBatchedPrediction:
         assert means == [_argmax_lowest(predict_proba(f, x)) for x in rows]
         if max_depth is not None:
             assert votes != means  # impure leaves make the modes disagree somewhere
+
+    def test_desk_forest_per_row_batched_and_reference_agree(self):
+        # Impure leaves (max_depth) make the probabilities non-trivial floats.
+        ds = generate_synthetic_formulas(4598, 87, 0)
+        split = train_test_split(ds, 0.8, 0)
+        f = fit(ds, split, ForestConfig(n_trees=10, max_depth=8, seed=0))
+        rows = ds.features[list(split.test[::4])]
+        votes = predict_classes(f, rows, Aggregation.MAJORITY_VOTE)
+        means = predict_classes(f, rows, Aggregation.MEAN_PROBABILITY)
+        assert votes != means
+        assert votes == [predict_majority(f, x) for x in rows]
+        assert votes == [reference_predict_majority(f, x) for x in rows]
+        assert means == [predict_class(f, x, Aggregation.MEAN_PROBABILITY) for x in rows]
+        probas = np.array([predict_proba(f, x) for x in rows])
+        reference = np.array([reference_predict_proba(f, x) for x in rows])
+        assert probas.view(np.uint64).tolist() == reference.view(np.uint64).tolist()
+        assert means == np.argmax(probas, axis=1).tolist()
 
     def test_ties_go_to_the_lowest_class(self):
         rows = np.zeros((3, 1))
