@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .dataset import Dataset
-from .prng import PermutationStream, RngState, shuffle
+from .prng import RngState, bounded_uint_block, permute, shuffle
 
 # Impurity comparisons treat values within this tolerance as tied.
 TIE_TOL = 1e-12
@@ -39,8 +39,8 @@ TIE_TOL = 1e-12
 # block: the size of its largest temporary arrays.
 BLOCK_CELLS = 1 << 15
 
-# Cap on the next_u64 values in one block of grow_tree's candidate draws
-# (p - 1 values per node); a tree's unused tail of a block is wasted.
+# Cap on the bounded draws in one block of grow_tree's candidate draws
+# (p - 1 swap partners per node); a tree's unused tail of a block is wasted.
 DRAW_BLOCK_VALUES = 1 << 13
 
 
@@ -141,12 +141,25 @@ class GrowConfig:
     tie_break: TieBreak = TieBreak.LOWEST_FEATURE_INDEX
 
     def validate(self, p: int) -> None:
-        if not 1 <= self.mtry <= p:
-            raise ValueError(f"mtry must be in [1, {p}], got {self.mtry}")
-        if self.min_node_size < 1:
-            raise ValueError(f"min_node_size must be >= 1, got {self.min_node_size}")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1 or None, got {self.max_depth}")
+        if type(self.mtry) is not int or not 1 <= self.mtry <= p:
+            raise ValueError(f"mtry must be an integer in [1, {p}], got {self.mtry!r}")
+        check_growth_fields(self)
+
+
+def check_growth_fields(cfg) -> None:
+    """Rules for the fields a GrowConfig shares with a ForestConfig.
+
+    Integers must be ints (``type(v) is int``, so not bool or float), as
+    the forest loader reads them, and enum fields must be enum members.
+    """
+    if type(cfg.min_node_size) is not int or cfg.min_node_size < 1:
+        raise ValueError(f"min_node_size must be an integer >= 1, got {cfg.min_node_size!r}")
+    if cfg.max_depth is not None and (type(cfg.max_depth) is not int or cfg.max_depth < 1):
+        raise ValueError(f"max_depth must be an integer >= 1 or None, got {cfg.max_depth!r}")
+    if not isinstance(cfg.node_size_semantics, NodeSizeSemantics):
+        raise ValueError(f"node_size_semantics must be a NodeSizeSemantics, got {cfg.node_size_semantics!r}")
+    if not isinstance(cfg.tie_break, TieBreak):
+        raise ValueError(f"tie_break must be a TieBreak, got {cfg.tie_break!r}")
 
 
 def draw_candidates(rng: RngState, p: int, mtry: int) -> tuple[list[int], RngState]:
@@ -311,6 +324,19 @@ def best_split(
     )
 
 
+def _partner_rows(rng: RngState, p: int, block: int):
+    """The swap partners of successive ``shuffle(rng, p)`` calls, one list each.
+
+    k shuffles are k * (p - 1) successive bounded draws with the bounds
+    p, p - 1, ..., 2 repeated, so each block of `block` shuffles is one
+    bounded_uint_block call.
+    """
+    bounds = np.tile(np.arange(p, 1, -1, dtype=np.uint64), block)
+    while True:
+        values, rng = bounded_uint_block(rng, bounds)
+        yield from values.reshape(block, p - 1).tolist()
+
+
 def grow_tree(ds: Dataset, row_indices: np.ndarray, cfg: GrowConfig, rng: RngState) -> DecisionTree:
     """Grow a tree on the given rows, threading the PRNG state in preorder.
 
@@ -337,7 +363,7 @@ def grow_tree(ds: Dataset, row_indices: np.ndarray, cfg: GrowConfig, rng: RngSta
         raise ValueError("row_indices must be non-empty")
     rows, weights = np.unique(idx, return_counts=True)
     weights = weights.astype(np.float64)
-    draws = PermutationStream(rng, ds.p, block=max(1, DRAW_BLOCK_VALUES // ds.p))
+    partner_rows = _partner_rows(rng, ds.p, max(1, DRAW_BLOCK_VALUES // ds.p))
 
     # A split node's record is written once its right child's position is
     # known: the right child's work item carries the parent's position,
@@ -362,7 +388,7 @@ def grow_tree(ds: Dataset, row_indices: np.ndarray, cfg: GrowConfig, rng: RngSta
             continue
 
         # The first mtry entries of the node's permutation, as draw_candidates.
-        candidates = draws.draw()[: cfg.mtry]
+        candidates = permute(next(partner_rows))[: cfg.mtry]
         sp = best_split(ds, node_rows, candidates, counts, cfg, node_weights)
         if sp is None:
             nodes.append(Leaf(total, counts.counts, g))

@@ -35,6 +35,7 @@ from .cart import (
     Leaf,
     NodeSizeSemantics,
     TieBreak,
+    check_growth_fields,
     gini,
     grow_tree,
 )
@@ -73,18 +74,19 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
-        if not 0.0 < self.sample_fraction <= 1.0:
-            raise ValueError(
-                f"sample_fraction must be in (0, 1], got {self.sample_fraction}"
-            )
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if isinstance(self.mtry, bool) or (isinstance(self.mtry, str) and self.mtry != MTRY_ALL):
-            raise ValueError(f"mtry must be an integer, {MTRY_ALL!r} or None, got {self.mtry!r}")
-        if isinstance(self.mtry, int) and self.mtry < 1:
-            raise ValueError(f"mtry must be >= 1, got {self.mtry}")
+        if type(self.n_trees) is not int or self.n_trees < 1:
+            raise ValueError(f"n_trees must be an integer >= 1, got {self.n_trees!r}")
+        if not (self.mtry is None or self.mtry == MTRY_ALL or (type(self.mtry) is int and self.mtry >= 1)):
+            raise ValueError(f"mtry must be an integer >= 1, {MTRY_ALL!r} or None, got {self.mtry!r}")
+        check_growth_fields(self)
+        if type(self.bootstrap) is not bool:
+            raise ValueError(f"bootstrap must be True or False, got {self.bootstrap!r}")
+        if not isinstance(self.sample_fraction, float) or not 0.0 < self.sample_fraction <= 1.0:
+            raise ValueError(f"sample_fraction must be a float in (0, 1], got {self.sample_fraction!r}")
+        if not isinstance(self.aggregation, Aggregation):
+            raise ValueError(f"aggregation must be an Aggregation, got {self.aggregation!r}")
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
     def resolved_mtry(self, p: int) -> int:
         """Concrete candidate count for a dataset with p features."""
@@ -215,8 +217,17 @@ def predict_argmax_proba(f: Forest, x: np.ndarray) -> int:
 
 def predict_class(f: Forest, x: np.ndarray, aggregation: Aggregation | None = None) -> int:
     """Predict one class id using the given (or the configured) aggregation."""
-    agg = aggregation if aggregation is not None else f.config.aggregation
+    agg = _aggregation(f, aggregation)
     return int(np.argmax(_scores(f, _check_sample(f, x)[None, :], agg)[0]))
+
+
+def _aggregation(f: Forest, aggregation: Aggregation | None) -> Aggregation:
+    """The given aggregation, or the forest's configured one for None."""
+    if aggregation is None:
+        return f.config.aggregation
+    if not isinstance(aggregation, Aggregation):
+        raise ValueError(f"aggregation must be an Aggregation or None, got {aggregation!r}")
+    return aggregation
 
 
 def _route(tree: DecisionTree, features: np.ndarray) -> list[tuple[Leaf, np.ndarray]]:
@@ -273,8 +284,7 @@ def predict_classes(
             f"expected a 2-D matrix with {f.n_features} columns, got shape {features.shape}"
         )
     _check_features(features)
-    agg = aggregation if aggregation is not None else f.config.aggregation
-    return np.argmax(_scores(f, features, agg), axis=1).tolist()
+    return np.argmax(_scores(f, features, _aggregation(f, aggregation)), axis=1).tolist()
 
 
 def accuracy(
@@ -377,22 +387,18 @@ def _config_to_doc(cfg: ForestConfig) -> dict:
 
 
 def _config_from_doc(doc: dict) -> ForestConfig:
-    mtry = doc["mtry"]
-    if mtry is not None and type(mtry) is not str:
-        mtry = _int(mtry, "config mtry")
-    if type(doc["bootstrap"]) is not bool:
-        raise ValueError(f"config bootstrap must be true or false, got {doc['bootstrap']!r}")
+    # ForestConfig rejects every field of the wrong type.
     return ForestConfig(
-        n_trees=_int(doc["n_trees"], "config n_trees"),
-        mtry=mtry,
-        min_node_size=_int(doc["min_node_size"], "config min_node_size"),
+        n_trees=doc["n_trees"],
+        mtry=doc["mtry"],
+        min_node_size=doc["min_node_size"],
         node_size_semantics=NodeSizeSemantics(doc["node_size_semantics"]),
-        max_depth=None if doc["max_depth"] is None else _int(doc["max_depth"], "config max_depth"),
+        max_depth=doc["max_depth"],
         tie_break=TieBreak(doc["tie_break"]),
         bootstrap=doc["bootstrap"],
         sample_fraction=_float(doc["sample_fraction"], "config sample_fraction"),
         aggregation=Aggregation(doc["aggregation"]),
-        seed=_int(doc["seed"], "config seed"),
+        seed=doc["seed"],
     )
 
 

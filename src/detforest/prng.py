@@ -120,31 +120,24 @@ def bounded_uint(rng: RngState, n: int) -> tuple[int, RngState]:
             return value % n, rng
 
 
-def _rejection_limits(bounds: np.ndarray) -> np.ndarray:
-    """Largest accepted next_u64 value per bound, ``MAX - (2**64 mod b)``, in uint64.
-
-    A value v is accepted for bound b exactly when bounded_uint accepts it:
-    v < floor(2**64 / b) * b.
-    """
-    top = np.uint64(_MASK64)
-    return top - ((top % bounds + np.uint64(1)) % bounds)
-
-
 def bounded_uint_block(rng: RngState, bounds: np.ndarray) -> tuple[np.ndarray, RngState]:
     """Successive bounded_uint draws, draw i in [0, bounds[i]), as uint64.
 
-    Bit-identical to calling :func:`bounded_uint` once per bound.  All draws
-    come from one :func:`next_u64_block`; each value is checked against its
-    bound's rejection limit (see :func:`_rejection_limits`).  Only if some
-    value would be rejected (probability below
-    ``len(bounds) * max(bounds) / 2**64``) does the scalar loop redo the
-    whole block, because a rejection shifts every later draw.
+    Bit-identical to calling :func:`bounded_uint` once per bound, and the
+    one place that checks draws against rejection limits.  All draws come
+    from one :func:`next_u64_block`.  bounded_uint accepts v for bound b
+    exactly when v < floor(2**64 / b) * b, that is when
+    v <= 2**64 - 1 - (2**64 mod b).  Only if some value would be rejected
+    (probability below ``len(bounds) * max(bounds) / 2**64``) does the
+    scalar loop redo the whole block, because a rejection shifts every
+    later draw.
     """
     b = np.asarray(bounds, dtype=np.uint64)
     if b.size and int(b.min()) < 1:
         raise ValueError(f"bounds must be >= 1, got {int(b.min())}")
     values, after = next_u64_block(rng, b.size)
-    if np.all(values <= _rejection_limits(b)):
+    top = np.uint64(_MASK64)
+    if np.all(values <= top - ((top % b + np.uint64(1)) % b)):
         return values % b, after
     out = np.empty(b.size, dtype=np.uint64)
     for i, n in enumerate(b.tolist()):
@@ -152,78 +145,26 @@ def bounded_uint_block(rng: RngState, bounds: np.ndarray) -> tuple[np.ndarray, R
     return out, rng
 
 
-class PermutationStream:
-    """Successive Fisher-Yates permutations of [0, m) from one stream.
+def permute(partners: list[int]) -> list[int]:
+    """Fisher-Yates on [0, len(partners) + 1) with the given swap partners.
 
-    The k-th :meth:`draw` returns what the k-th of successive
-    ``shuffle(rng, m)`` calls returns, each continuing from the state the
-    previous one left, and :attr:`state` is the state after the draws
-    taken so far.  The m - 1 swap partners of `block` permutations come
-    from one :func:`next_u64_block` call, checked against rejection limits
-    computed once.  A block is used up to the first permutation with a
-    value that bounded_uint would reject; that permutation is drawn alone
-    by :func:`bounded_uint_block` from its exact starting state, which
-    falls back to the scalar loop, and the next block starts where that
-    draw stopped.
+    Walks from the high index downward: position i swaps with the next
+    partner, which shuffle draws as ``bounded_uint(i + 1)``.
     """
-
-    def __init__(self, rng: RngState, m: int, block: int = 1) -> None:
-        if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
-        if block < 1:
-            raise ValueError(f"block must be >= 1, got {block}")
-        self._m = m
-        self._block = block
-        self._bounds = np.arange(m, 1, -1, dtype=np.uint64)
-        self._limits = _rejection_limits(self._bounds)
-        self._state = rng.state
-        # Buffered partner rows, and the stream state after each of them.
-        self._rows: list[list[int]] = []
-        self._after: list[int] = []
-        self._next = 0
-
-    @property
-    def state(self) -> RngState:
-        return RngState(self._state)
-
-    def _refill(self) -> None:
-        width = self._m - 1
-        values, _ = next_u64_block(RngState(self._state), self._block * width)
-        values = values.reshape(self._block, width)
-        accepted = (values <= self._limits).all(axis=1)
-        good = self._block if accepted.all() else int(np.argmin(accepted))
-        if good:
-            self._rows = (values[:good] % self._bounds).tolist()
-            step = width * _GOLDEN
-            self._after = [(self._state + k * step) & _MASK64 for k in range(1, good + 1)]
-        else:
-            # The first permutation holds a rejected value: draw it alone,
-            # which takes the scalar loop.
-            row, rng = bounded_uint_block(RngState(self._state), self._bounds)
-            self._rows, self._after = [row.tolist()], [rng.state]
-        self._next = 0
-
-    def draw(self) -> list[int]:
-        """The next permutation; walks from the high index downward, the
-        swap partner for position i being ``bounded_uint(i + 1)``."""
-        if self._next == len(self._rows):
-            self._refill()
-        partners = self._rows[self._next]
-        self._state = self._after[self._next]
-        self._next += 1
-        perm = list(range(self._m))
-        for i, j in zip(range(self._m - 1, 0, -1), partners):
-            perm[i], perm[j] = perm[j], perm[i]
-        return perm
+    perm = list(range(len(partners) + 1))
+    for i, j in zip(range(len(partners), 0, -1), partners):
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
 
 
 def shuffle(rng: RngState, m: int) -> tuple[list[int], RngState]:
     """Uniform random permutation of [0, m) via Fisher-Yates.
 
-    Walks from the high index downward; the swap partner for position i is
-    ``bounded_uint(i + 1)``.  Deterministic given the state.  The m - 1
-    partners are drawn as one block (see :class:`PermutationStream`).
+    The m - 1 swap partners are one :func:`bounded_uint_block` draw over
+    the bounds m, m - 1, ..., 2, applied by :func:`permute`.  Deterministic
+    given the state.
     """
-    stream = PermutationStream(rng, m)
-    perm = stream.draw()
-    return perm, stream.state
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    partners, rng = bounded_uint_block(rng, np.arange(m, 1, -1, dtype=np.uint64))
+    return permute(partners.tolist()), rng

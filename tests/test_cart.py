@@ -26,6 +26,7 @@ from detforest.cart import (
     Internal,
     Leaf,
     _midpoint,
+    _partner_rows,
     best_split,
     class_counts_of,
     draw_candidates,
@@ -34,13 +35,15 @@ from detforest.cart import (
     trees_equal_exact,
 )
 from detforest.forest import bootstrap_sample
-from detforest.prng import RngState, shuffle
+from detforest.prng import RngState, next_u64_block, permute, shuffle
 
 from helpers import (
+    MASK64,
     duplicated_feature_dataset,
     exhaustive_split_oracle,
     reference_best_split,
     reference_grow_tree,
+    state_with_draw,
     tiny_dataset,
 )
 
@@ -548,6 +551,50 @@ class TestGrowOnCounts:
         cfg = GrowConfig(mtry=5, tie_break=tie_break)
         tree = grow_tree(ds, rows, cfg, rng)
         assert sum(1 for _ in iter_nodes(tree)) > 50
+        assert trees_equal_exact(tree, reference_grow_tree(ds, rows, cfg, rng))
+
+
+class TestCandidateBlocks:
+    """grow_tree's block draws are one shuffle per node, rejections included."""
+
+    @given(
+        st.integers(min_value=0, max_value=MASK64),
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=0, max_value=12),
+    )
+    @settings(max_examples=100)
+    def test_partner_rows_are_successive_shuffles(self, state, m, block, k):
+        rows = _partner_rows(RngState(state), m, block)
+        rng = RngState(state)
+        for _ in range(k):
+            expected, rng = shuffle(rng, m)
+            assert permute(next(rows)) == expected
+
+    # p = 10: each node's permutation takes 9 draws, with bounds 10, 9, ..., 2.
+    # Draw k (1-based) is 2**64 - 1, which bounds 10, 7 and 3 reject.
+    @pytest.mark.parametrize(
+        "block, k",
+        [
+            (4, 13),  # mid-block: the 4th draw (bound 7) of node 2 of 4
+            (3, 26),  # the last node of a block: its 8th draw (bound 3)
+            (3, 28),  # the first node of the second block (bound 10)
+        ],
+    )
+    def test_rejected_draw_shifts_every_later_node(self, block, k):
+        gen = np.random.default_rng(5)
+        p = 10
+        features = gen.integers(0, 4, size=(80, p)).astype(np.float64)
+        ds = Dataset(features, gen.integers(0, 3, size=80), [f"f{i}" for i in range(p)])
+        rng = state_with_draw(k, MASK64)
+        assert next_u64_block(rng, k)[0][-1] == MASK64
+        assert (1 << 64) % (p - (k - 1) % (p - 1)) != 0  # the draw's bound rejects it
+        cfg = GrowConfig(mtry=3, tie_break=TieBreak.FIRST_IN_DRAW_ORDER)
+        rows = np.arange(ds.n)
+        with mock.patch("detforest.cart.DRAW_BLOCK_VALUES", block * p):
+            tree = grow_tree(ds, rows, cfg, rng)
+        # Nodes past the rejection's block drew candidates too.
+        assert sum(isinstance(node, Internal) for node in tree.nodes) > 2 * block
         assert trees_equal_exact(tree, reference_grow_tree(ds, rows, cfg, rng))
 
 

@@ -16,11 +16,13 @@ from detforest import (
 )
 from detforest.cli import (
     ConfigError,
+    _trial_seeds,
     audit_config_text,
     main,
     parse_config_text,
     render_config,
 )
+from detforest.prng import TRIAL_STREAM, derive_stream, next_u64
 
 from helpers import duplicated_feature_dataset
 
@@ -354,6 +356,16 @@ class TestRunDeterminism:
         for name in ("forest-0.json", "forest-1.json", "config.txt",
                      "tree0.dot", "report.txt", "report.json", "summary.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def test_trial_seeds_are_successive_trial_stream_draws(self):
+        rng, expected = derive_stream(7, TRIAL_STREAM), []
+        for _ in range(5):
+            seed, rng = next_u64(rng)
+            expected.append(seed)
+        seeds = _trial_seeds(7, 5)
+        assert seeds == expected
+        assert all(type(seed) is int for seed in seeds)  # ForestConfig takes only ints
+        assert _trial_seeds(7, 0) == []
 
     def test_worker_count_does_not_change_output(self, dup_csv, tmp_path, capsys):
         outs = [tmp_path / "w1", tmp_path / "w4"]

@@ -19,6 +19,7 @@ from detforest import (
     fit,
     forest_from_json,
     forest_to_json,
+    forest_divergence,
     generate_synthetic_formulas,
     load_forest,
     predict_class,
@@ -28,7 +29,7 @@ from detforest import (
     save_forest,
     train_test_split,
 )
-from detforest.cart import DecisionTree, Internal, Leaf, iter_nodes, trees_equal_exact
+from detforest.cart import DecisionTree, GrowConfig, Internal, Leaf, iter_nodes, trees_equal_exact
 from detforest.forest import (
     _argmax_lowest,
     bootstrap_sample,
@@ -156,6 +157,66 @@ class TestForestConfig:
         doc["config"]["mtry"] = flag
         with pytest.raises(ValueError):
             forest_from_doc(doc)
+
+    # Each of these once fitted and then failed later, or fitted without the
+    # setting: the loader rejects a document with True for an integer, and
+    # a string node_size_semantics grew trees with no node-size limit.
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_trees", True),
+            ("n_trees", 2.0),
+            ("mtry", 2.0),
+            ("min_node_size", True),
+            ("max_depth", True),
+            ("seed", True),
+            ("bootstrap", 1),
+            ("sample_fraction", True),
+            ("sample_fraction", 1),
+            ("node_size_semantics", "min-leaf"),
+            ("tie_break", "first-in-draw-order"),
+            ("aggregation", "majority-vote"),
+        ],
+    )
+    def test_wrong_typed_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ForestConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mtry", True),
+            ("mtry", 2.0),
+            ("min_node_size", True),
+            ("min_node_size", 2.0),
+            ("max_depth", True),
+            ("node_size_semantics", "min-leaf"),
+            ("tie_break", "first-in-draw-order"),
+        ],
+    )
+    def test_grow_config_rejects_wrong_typed_field(self, field, value):
+        cfg = GrowConfig(**{"mtry": 2, field: value})
+        with pytest.raises(ValueError, match=field):
+            cfg.validate(4)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ForestConfig(n_trees=2, seed=5),
+            ForestConfig(
+                n_trees=1, mtry="all", min_node_size=3,
+                node_size_semantics=NodeSizeSemantics.MIN_LEAF, max_depth=4,
+                tie_break=TieBreak.FIRST_IN_DRAW_ORDER, bootstrap=False,
+                sample_fraction=0.5, aggregation=Aggregation.MAJORITY_VOTE, seed=2**64 - 1,
+            ),
+        ],
+    )
+    def test_forest_of_a_valid_config_round_trips(self, cfg):
+        ds = generate_synthetic_formulas(40, 4, 0)
+        text = forest_to_json(fit(ds, train_test_split(ds, 0.75, 0), cfg))
+        loaded = forest_from_json(text)
+        assert loaded.config == cfg
+        assert forest_to_json(loaded) == text
 
     def test_oversized_mtry_fails_at_fit_time(self):
         ds = generate_synthetic_formulas(30, 4, 0)
@@ -287,6 +348,21 @@ class TestAggregation:
         # explicit override beats the configured default
         assert predict_class(fv, X, Aggregation.MEAN_PROBABILITY) == 0
         assert predict_class(fp, X, Aggregation.MAJORITY_VOTE) == 1
+
+    @pytest.mark.parametrize("aggregation", ["majority-vote", "mean-probability", 1])
+    def test_aggregation_must_be_an_enum_member(self, aggregation):
+        # A string was once scored as mean probability whatever it said.
+        f = _leaf_forest([(9, 1), (4, 6), (4, 6)], 2)
+        ds = tiny_dataset([[0.0, 1.0]], [0, 1])
+        calls = [
+            lambda: predict_class(f, X, aggregation),
+            lambda: predict_classes(f, X[None, :], aggregation),
+            lambda: accuracy(f, ds, [0, 1], aggregation),
+            lambda: forest_divergence([("a", f), ("b", f)], ds, aggregation=aggregation),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="aggregation"):
+                call()
 
     def test_proba_sums_to_one(self):
         ds = generate_synthetic_formulas(80, 4, 2)

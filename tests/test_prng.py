@@ -17,7 +17,6 @@ from detforest.prng import (
     SPLIT_STREAM,
     SYNTH_STREAM,
     TRIAL_STREAM,
-    PermutationStream,
     RngState,
     bounded_uint,
     bounded_uint_block,
@@ -232,65 +231,6 @@ class TestShuffle:
         assert after == r
         assert after.state == (rng.state + m * GOLDEN) & MASK  # one extra step
         assert (perm, after.state) == ref_shuffle(rng.state, m)
-
-
-def _successive_shuffles(state: int, m: int, k: int) -> tuple[list[list[int]], int]:
-    perms = []
-    for _ in range(k):
-        perm, state = ref_shuffle(state, m)
-        perms.append(perm)
-    return perms, state
-
-
-class TestPermutationStream:
-    @given(
-        st.integers(min_value=0, max_value=MASK),
-        st.integers(min_value=1, max_value=30),
-        st.integers(min_value=1, max_value=5),
-        st.integers(min_value=0, max_value=12),
-    )
-    @settings(max_examples=100)
-    def test_draws_are_successive_shuffles(self, state, m, block, k):
-        stream = PermutationStream(RngState(state), m, block)
-        perms = [stream.draw() for _ in range(k)]
-        ref_perms, ref_state = _successive_shuffles(state, m, k)
-        assert perms == ref_perms
-        assert stream.state.state == ref_state
-        rng = RngState(state)
-        for perm in perms:
-            expected, rng = shuffle(rng, m)
-            assert perm == expected
-        assert stream.state == rng
-
-    # m = 10: each permutation takes 9 draws, with bounds 10, 9, ..., 2.
-    # Draw k (1-based) is 2**64 - 1, which bounds 10 and 3 reject.
-    @pytest.mark.parametrize(
-        "block, k",
-        [
-            (4, 13),  # mid-block: the 4th draw (bound 7) of permutation 2 of 4
-            (3, 26),  # the last permutation of a block: its 8th draw (bound 3)
-            (3, 28),  # the first permutation of the second block (bound 10)
-        ],
-    )
-    def test_rejection_falls_back_from_the_exact_state(self, block, k):
-        m = 10
-        rng = state_with_draw(k, MASK)
-        stream = PermutationStream(rng, m, block)
-        perms = [stream.draw() for _ in range(8)]
-        ref_perms, ref_state = _successive_shuffles(rng.state, m, 8)
-        assert perms == ref_perms
-        assert stream.state.state == ref_state
-        # The rejection took one extra draw.
-        assert ref_state == (rng.state + (8 * (m - 1) + 1) * GOLDEN) & MASK
-
-    def test_state_before_any_draw(self):
-        assert PermutationStream(RngState(5), 4, 3).state == RngState(5)
-
-    def test_invalid_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            PermutationStream(RngState(0), 0)
-        with pytest.raises(ValueError):
-            PermutationStream(RngState(0), 3, 0)
 
 
 class TestBoundedUintBlock:
