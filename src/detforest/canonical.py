@@ -23,7 +23,7 @@ import numpy as np
 
 from .cart import DecisionTree, Internal, iter_nodes
 from .dataset import Dataset
-from .forest import Aggregation, Forest, predict_classes
+from .forest import Aggregation, Forest, _row_indices, predict_classes
 
 
 def _round10(x: float) -> float:
@@ -178,9 +178,7 @@ def forest_divergence(
             raise ValueError(
                 f"forest {label!r} expects {f.n_features} features, test data has {test.p}"
             )
-    idx = np.arange(test.n, dtype=np.intp) if rows is None else np.asarray(rows, dtype=np.intp)
-    if idx.size == 0:
-        raise ValueError("rows must be non-empty")
+    idx = np.arange(test.n, dtype=np.intp) if rows is None else _row_indices(rows, test.n)
 
     features = test.features[idx]
     preds = [np.asarray(predict_classes(f, features, aggregation)) for _, f in forests]

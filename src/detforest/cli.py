@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 import time
@@ -47,6 +46,7 @@ from .forest import (
     _int,
     _tree_to_doc,
     accuracy,
+    dump_json,
     fit,
     load_forest,
     read_json,
@@ -150,55 +150,46 @@ _CONFIG_HEADER = """\
 # majority-votes the trees or averages their leaf probabilities.
 """
 
-_CONFIG_KEYS = (
-    "n_trees",
-    "mtry",
-    "min_node_size",
-    "node_size_semantics",
-    "max_depth",
-    "tie_break",
-    "bootstrap",
-    "sample_fraction",
-    "aggregation",
-    "seed",
-)
+
+def _int_or(words: dict) -> tuple:
+    """An integer field whose other values are written as the given words."""
+    tokens = {value: word for word, value in words.items()}
+    return (
+        "an integer",
+        lambda t: words[t] if t in words else int(t),
+        lambda v: tokens.get(v, str(v)),
+    )
+
+
+def _enum(cls) -> tuple:
+    return f"one of {', '.join(e.value for e in cls)}", cls, lambda v: v.value
+
+
+# One entry per ForestConfig field, in file order: what a valid token is,
+# the token -> value reader (it raises ValueError or KeyError), and the
+# value -> token writer.
+_CONFIG_FIELDS: dict[str, tuple] = {
+    "n_trees": ("an integer", int, str),
+    "mtry": _int_or({"sqrt": None, MTRY_ALL: MTRY_ALL}),
+    "min_node_size": ("an integer", int, str),
+    "node_size_semantics": _enum(NodeSizeSemantics),
+    "max_depth": _int_or({"none": None}),
+    "tie_break": _enum(TieBreak),
+    "bootstrap": (
+        "true or false",
+        {"true": True, "false": False}.__getitem__,
+        lambda v: "true" if v else "false",
+    ),
+    "sample_fraction": ("a number", float, repr),
+    "aggregation": _enum(Aggregation),
+    "seed": ("an integer", int, str),
+}
 
 
 def render_config(cfg: ForestConfig) -> str:
     """Config-file text for cfg; parse_config_text inverts this exactly."""
-    if cfg.mtry is None:
-        mtry = "sqrt"
-    else:
-        mtry = str(cfg.mtry)
-    lines = [
-        _CONFIG_HEADER,
-        f"n_trees = {cfg.n_trees}",
-        f"mtry = {mtry}",
-        f"min_node_size = {cfg.min_node_size}",
-        f"node_size_semantics = {cfg.node_size_semantics.value}",
-        f"max_depth = {'none' if cfg.max_depth is None else cfg.max_depth}",
-        f"tie_break = {cfg.tie_break.value}",
-        f"bootstrap = {'true' if cfg.bootstrap else 'false'}",
-        f"sample_fraction = {cfg.sample_fraction!r}",
-        f"aggregation = {cfg.aggregation.value}",
-        f"seed = {cfg.seed}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _parse_int(key: str, value: str, lineno: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: {key} must be an integer, got {value!r}") from None
-
-
-def _parse_enum(enum_cls, key: str, value: str, lineno: int):
-    try:
-        return enum_cls(value)
-    except ValueError:
-        allowed = ", ".join(e.value for e in enum_cls)
-        raise ConfigError(f"line {lineno}: {key} must be one of {allowed}, got {value!r}") from None
+    lines = [f"{key} = {write(getattr(cfg, key))}" for key, (*_, write) in _CONFIG_FIELDS.items()]
+    return "\n".join([_CONFIG_HEADER, *lines]) + "\n"
 
 
 def parse_config_text(text: str) -> tuple[ForestConfig, frozenset[str]]:
@@ -210,7 +201,6 @@ def parse_config_text(text: str) -> tuple[ForestConfig, frozenset[str]]:
     reproducibility hazard.
     """
     values: dict = {}
-    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -220,48 +210,23 @@ def parse_config_text(text: str) -> tuple[ForestConfig, frozenset[str]]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in seen:
+        if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        seen.add(key)
         if not value:
             raise ConfigError(f"line {lineno}: {key} has no value")
-
-        if key in ("n_trees", "min_node_size", "seed"):
-            values[key] = _parse_int(key, value, lineno)
-        elif key == "mtry":
-            if value == "sqrt":
-                values[key] = None
-            elif value == MTRY_ALL:
-                values[key] = MTRY_ALL
-            else:
-                values[key] = _parse_int(key, value, lineno)
-        elif key == "max_depth":
-            values[key] = None if value == "none" else _parse_int(key, value, lineno)
-        elif key == "node_size_semantics":
-            values[key] = _parse_enum(NodeSizeSemantics, key, value, lineno)
-        elif key == "tie_break":
-            values[key] = _parse_enum(TieBreak, key, value, lineno)
-        elif key == "aggregation":
-            values[key] = _parse_enum(Aggregation, key, value, lineno)
-        elif key == "bootstrap":
-            if value not in ("true", "false"):
-                raise ConfigError(f"line {lineno}: bootstrap must be true or false, got {value!r}")
-            values[key] = value == "true"
-        elif key == "sample_fraction":
-            try:
-                values[key] = float(value)
-            except ValueError:
-                raise ConfigError(
-                    f"line {lineno}: sample_fraction must be a number, got {value!r}"
-                ) from None
+        what, read, _ = _CONFIG_FIELDS[key]
+        try:
+            values[key] = read(value)
+        except (ValueError, KeyError):
+            raise ConfigError(f"line {lineno}: {key} must be {what}, got {value!r}") from None
 
     try:
         cfg = ForestConfig(**values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return cfg, frozenset(seen)
+    return cfg, frozenset(values)
 
 
 def audit_config_text(text: str) -> list[str]:
@@ -324,7 +289,7 @@ def tree_to_structured(tree: DecisionTree) -> str:
         "n_classes": tree.n_classes,
         "tree": _tree_to_doc(tree),
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return dump_json(doc) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -353,9 +318,7 @@ def _resolve_seed(cli_seed: int | None, file_seed: int | None = None) -> int:
 
 def _write_split_file(split: SplitIndices, path) -> None:
     doc = {"schema": SPLIT_SCHEMA, "train": list(split.train), "test": list(split.test)}
-    Path(path).write_text(
-        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(dump_json(doc) + "\n", encoding="utf-8")
 
 
 def _read_split_file(path, n: int) -> SplitIndices:
@@ -538,10 +501,7 @@ def cmd_run(args) -> int:
         )
         (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
         divergence_doc = report.to_doc()
-        (out_dir / "report.json").write_text(
-            json.dumps(divergence_doc, sort_keys=True, separators=(",", ":")) + "\n",
-            encoding="utf-8",
-        )
+        (out_dir / "report.json").write_text(dump_json(divergence_doc) + "\n", encoding="utf-8")
         max_divergent = max((p.n_divergent for p in report.pairs), default=0)
 
     acc = accuracy(forests[0], ds, split.test)
@@ -562,9 +522,7 @@ def cmd_run(args) -> int:
     }
     if divergence_doc is not None:
         summary["divergence"] = divergence_doc
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
-    )
+    (out_dir / "summary.json").write_text(dump_json(summary) + "\n", encoding="utf-8")
 
     print(f"preset: {preset.name if preset else f'config file {args.config}'}")
     print(f"seed: {seed}  trials: {args.trials}")
@@ -685,7 +643,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="tree-building threads: identical bytes for any count, but no speed-up today "
+        help="tree-building threads, at most one per tree and per CPU: identical bytes for "
+        "any count, but no speed-up today "
         "(8 desk trees took 0.7-1.0 s with 1 worker, 1.44 s with 2 and 1.9 s with 4)",
     )
     p.add_argument("--out-dir", default="detforest-out", help="output directory")

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -136,6 +137,24 @@ def bootstrap_sample(rng: RngState, n: int, replace: bool, fraction: float) -> t
     return np.array(perm[:k], dtype=np.intp), rng
 
 
+def _row_indices(
+    rows, n: int, empty: str = "rows must be non-empty", what: str = "row indices"
+) -> np.ndarray:
+    """rows as an intp array of indices into n dataset rows, else ValueError.
+
+    Each index must be an integer (not a bool) in [0, n): numpy would
+    count a negative index from the end and truncate a float.
+    """
+    idx = np.asarray(rows)
+    if idx.size == 0:  # checked first: np.asarray(()) is float64
+        raise ValueError(empty)
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be a 1-D sequence of integers, got {idx.dtype} {idx.shape}")
+    if idx.min() < 0 or idx.max() >= n:
+        raise ValueError(f"{what} fall outside the dataset")
+    return idx.astype(np.intp, copy=False)
+
+
 def fit(ds: Dataset, split: SplitIndices, cfg: ForestConfig, n_workers: int = 1) -> Forest:
     """Train cfg.n_trees trees on the training rows of the split.
 
@@ -145,14 +164,10 @@ def fit(ds: Dataset, split: SplitIndices, cfg: ForestConfig, n_workers: int = 1)
     fraction is 1 no sampling happens at all and every tree sees the full
     training set (then only tie-breaking can distinguish the trees).
     """
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+    if type(n_workers) is not int or n_workers < 1:
+        raise ValueError(f"n_workers must be an integer >= 1, got {n_workers!r}")
     grow_cfg = cfg.to_grow_config(ds.p)
-    train = np.asarray(split.train, dtype=np.intp)
-    if train.size == 0:
-        raise ValueError("split has no training rows")
-    if train.min() < 0 or train.max() >= ds.n:
-        raise ValueError("split training indices fall outside the dataset")
+    train = _row_indices(split.train, ds.n, "split has no training rows", "split training indices")
     skip_sampling = not cfg.bootstrap and cfg.sample_fraction == 1.0
 
     def build(k: int) -> DecisionTree:
@@ -164,10 +179,12 @@ def fit(ds: Dataset, split: SplitIndices, cfg: ForestConfig, n_workers: int = 1)
             rows = train[sample]
         return grow_tree(ds, rows, grow_cfg, rng)
 
-    if n_workers == 1:
+    # The pool starts one thread per submitted tree until max_workers.
+    threads = min(n_workers, cfg.n_trees, os.cpu_count() or 1)
+    if threads == 1:
         trees = [build(k) for k in range(cfg.n_trees)]
     else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             trees = list(pool.map(build, range(cfg.n_trees)))
     return Forest(trees=tuple(trees), config=cfg, n_features=ds.p, n_classes=ds.c)
 
@@ -294,9 +311,7 @@ def accuracy(
     aggregation: Aggregation | None = None,
 ) -> float:
     """Fraction of the given dataset rows classified correctly."""
-    idx = np.asarray(rows, dtype=np.intp)
-    if idx.size == 0:
-        raise ValueError("rows must be non-empty")
+    idx = _row_indices(rows, ds.n)
     predicted = predict_classes(f, ds.features[idx], aggregation)
     return float(np.mean(np.asarray(predicted) == ds.labels[idx]))
 
@@ -372,34 +387,21 @@ def _tree_from_doc(doc: dict, n_features: int, n_classes: int) -> DecisionTree:
 
 
 def _config_to_doc(cfg: ForestConfig) -> dict:
-    return {
-        "n_trees": cfg.n_trees,
-        "mtry": cfg.mtry,
-        "min_node_size": cfg.min_node_size,
-        "node_size_semantics": cfg.node_size_semantics.value,
-        "max_depth": cfg.max_depth,
-        "tie_break": cfg.tie_break.value,
-        "bootstrap": cfg.bootstrap,
-        "sample_fraction": cfg.sample_fraction,
-        "aggregation": cfg.aggregation.value,
-        "seed": cfg.seed,
-    }
+    return {k: v.value if isinstance(v, Enum) else v for k, v in vars(cfg).items()}
 
 
 def _config_from_doc(doc: dict) -> ForestConfig:
-    # ForestConfig rejects every field of the wrong type.
-    return ForestConfig(
-        n_trees=doc["n_trees"],
-        mtry=doc["mtry"],
-        min_node_size=doc["min_node_size"],
-        node_size_semantics=NodeSizeSemantics(doc["node_size_semantics"]),
-        max_depth=doc["max_depth"],
-        tie_break=TieBreak(doc["tie_break"]),
-        bootstrap=doc["bootstrap"],
-        sample_fraction=_float(doc["sample_fraction"], "config sample_fraction"),
-        aggregation=Aggregation(doc["aggregation"]),
-        seed=doc["seed"],
-    )
+    # ForestConfig rejects every field of the wrong type.  Each enum field's
+    # default is a member, so its type reads the stored value back.
+    values = {}
+    for field in fields(ForestConfig):
+        value = doc[field.name]
+        if isinstance(field.default, Enum):
+            value = type(field.default)(value)
+        elif field.name == "sample_fraction":
+            value = _float(value, "config sample_fraction")
+        values[field.name] = value
+    return ForestConfig(**values)
 
 
 def forest_to_doc(f: Forest) -> dict:
@@ -433,8 +435,12 @@ def forest_from_doc(doc: dict) -> Forest:
 
 
 def forest_to_json(f: Forest) -> str:
+    return dump_json(forest_to_doc(f))
+
+
+def dump_json(doc) -> str:
     """Deterministic bytes: sorted keys, no whitespace, repr-exact floats."""
-    return json.dumps(forest_to_doc(f), sort_keys=True, separators=(",", ":"))
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def read_json(text: str, what: str):

@@ -127,17 +127,17 @@ def bounded_uint_block(rng: RngState, bounds: np.ndarray) -> tuple[np.ndarray, R
     one place that checks draws against rejection limits.  All draws come
     from one :func:`next_u64_block`.  bounded_uint accepts v for bound b
     exactly when v < floor(2**64 / b) * b, that is when
-    v <= 2**64 - 1 - (2**64 mod b).  Only if some value would be rejected
-    (probability below ``len(bounds) * max(bounds) / 2**64``) does the
-    scalar loop redo the whole block, because a rejection shifts every
-    later draw.
+    v <= 2**64 - 1 - (2**64 mod b); as 2**64 mod b < max(bounds), every
+    draw is accepted when the largest is at most 2**64 - max(bounds).
+    Only if that test fails (probability below
+    ``len(bounds) * max(bounds) / 2**64``) does the scalar loop redo the
+    whole block, because a rejection shifts every later draw.
     """
     b = np.asarray(bounds, dtype=np.uint64)
     if b.size and int(b.min()) < 1:
         raise ValueError(f"bounds must be >= 1, got {int(b.min())}")
     values, after = next_u64_block(rng, b.size)
-    top = np.uint64(_MASK64)
-    if np.all(values <= top - ((top % b + np.uint64(1)) % b)):
+    if not b.size or np.all(values <= np.uint64(2**64 - int(b.max()))):
         return values % b, after
     out = np.empty(b.size, dtype=np.uint64)
     for i, n in enumerate(b.tolist()):

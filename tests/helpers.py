@@ -26,8 +26,9 @@ from detforest import (
     predict_leaf,
 )
 from detforest.cart import BLOCK_CELLS, TieBreak, _midpoint
+from detforest.cli import _CONFIG_HEADER, ConfigError
 from detforest.dataset import _map_labels
-from detforest.forest import Forest, _argmax_lowest, _check_sample
+from detforest.forest import MTRY_ALL, Aggregation, Forest, ForestConfig, _argmax_lowest, _check_sample
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -397,3 +398,111 @@ def reference_best_split(
         weighted_child_impurity=weighted_value,
         impurity_decrease=parent_gini - weighted_value,
     )
+
+
+# The config-file codec as it was before one field table described it:
+# one line and one parse branch per key.
+_REFERENCE_CONFIG_KEYS = (
+    "n_trees",
+    "mtry",
+    "min_node_size",
+    "node_size_semantics",
+    "max_depth",
+    "tie_break",
+    "bootstrap",
+    "sample_fraction",
+    "aggregation",
+    "seed",
+)
+
+
+def reference_render_config(cfg: ForestConfig) -> str:
+    if cfg.mtry is None:
+        mtry = "sqrt"
+    else:
+        mtry = str(cfg.mtry)
+    lines = [
+        _CONFIG_HEADER,
+        f"n_trees = {cfg.n_trees}",
+        f"mtry = {mtry}",
+        f"min_node_size = {cfg.min_node_size}",
+        f"node_size_semantics = {cfg.node_size_semantics.value}",
+        f"max_depth = {'none' if cfg.max_depth is None else cfg.max_depth}",
+        f"tie_break = {cfg.tie_break.value}",
+        f"bootstrap = {'true' if cfg.bootstrap else 'false'}",
+        f"sample_fraction = {cfg.sample_fraction!r}",
+        f"aggregation = {cfg.aggregation.value}",
+        f"seed = {cfg.seed}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _reference_parse_int(key: str, value: str, lineno: int) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"line {lineno}: {key} must be an integer, got {value!r}") from None
+
+
+def _reference_parse_enum(enum_cls, key: str, value: str, lineno: int):
+    try:
+        return enum_cls(value)
+    except ValueError:
+        allowed = ", ".join(e.value for e in enum_cls)
+        raise ConfigError(f"line {lineno}: {key} must be one of {allowed}, got {value!r}") from None
+
+
+def reference_parse_config_text(text: str) -> tuple[ForestConfig, frozenset[str]]:
+    values: dict = {}
+    seen: set[str] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected key = value, got {raw.strip()!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in _REFERENCE_CONFIG_KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        seen.add(key)
+        if not value:
+            raise ConfigError(f"line {lineno}: {key} has no value")
+
+        if key in ("n_trees", "min_node_size", "seed"):
+            values[key] = _reference_parse_int(key, value, lineno)
+        elif key == "mtry":
+            if value == "sqrt":
+                values[key] = None
+            elif value == MTRY_ALL:
+                values[key] = MTRY_ALL
+            else:
+                values[key] = _reference_parse_int(key, value, lineno)
+        elif key == "max_depth":
+            values[key] = None if value == "none" else _reference_parse_int(key, value, lineno)
+        elif key == "node_size_semantics":
+            values[key] = _reference_parse_enum(NodeSizeSemantics, key, value, lineno)
+        elif key == "tie_break":
+            values[key] = _reference_parse_enum(TieBreak, key, value, lineno)
+        elif key == "aggregation":
+            values[key] = _reference_parse_enum(Aggregation, key, value, lineno)
+        elif key == "bootstrap":
+            if value not in ("true", "false"):
+                raise ConfigError(f"line {lineno}: bootstrap must be true or false, got {value!r}")
+            values[key] = value == "true"
+        elif key == "sample_fraction":
+            try:
+                values[key] = float(value)
+            except ValueError:
+                raise ConfigError(
+                    f"line {lineno}: sample_fraction must be a number, got {value!r}"
+                ) from None
+
+    try:
+        cfg = ForestConfig(**values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return cfg, frozenset(seen)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detforest import (
     Aggregation,
@@ -15,6 +18,7 @@ from detforest import (
     save_csv,
 )
 from detforest.cli import (
+    _CONFIG_FIELDS,
     ConfigError,
     _trial_seeds,
     audit_config_text,
@@ -24,7 +28,11 @@ from detforest.cli import (
 )
 from detforest.prng import TRIAL_STREAM, derive_stream, next_u64
 
-from helpers import duplicated_feature_dataset
+from helpers import (
+    duplicated_feature_dataset,
+    reference_parse_config_text,
+    reference_render_config,
+)
 
 
 @pytest.fixture()
@@ -99,6 +107,62 @@ class TestConfigRoundTrip:
             parse_config_text("n_trees = 0\n")
         with pytest.raises(ConfigError):
             parse_config_text("sample_fraction = 1.5\n")
+
+
+_KEYS = [field.name for field in dataclasses.fields(ForestConfig)]
+_TOKENS = [
+    "0", "-1", "1_000", "+5", "05", ".5", "1e3", "nan", "inf",
+    "true", "True", "yes", "sqrt", "all", "none",
+    *(e.value for cls in (NodeSizeSemantics, TieBreak, Aggregation) for e in cls),
+]
+_config_line = st.one_of(
+    st.builds(
+        "{}{}{}{}".format,
+        st.sampled_from(_KEYS + ["bogus"]),
+        st.sampled_from([" = ", "=", " =", "= ", "\t=\t", " = ", "=", " "]),  # " ": no '='
+        st.sampled_from(_TOKENS + [""]),
+        st.sampled_from(["", "  # note", "#"]),
+    ),
+    st.sampled_from(["", "# comment"]),
+)
+_configs = st.builds(
+    ForestConfig,
+    n_trees=st.integers(1, 10**6),
+    mtry=st.one_of(st.none(), st.just("all"), st.integers(1, 10**6)),
+    min_node_size=st.integers(1, 10**6),
+    node_size_semantics=st.sampled_from(NodeSizeSemantics),
+    max_depth=st.one_of(st.none(), st.integers(1, 10**6)),
+    tie_break=st.sampled_from(TieBreak),
+    bootstrap=st.booleans(),
+    sample_fraction=st.floats(0.0, 1.0, exclude_min=True),
+    aggregation=st.sampled_from(Aggregation),
+    seed=st.integers(0, 2**64 - 1),
+)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:  # ConfigError is one
+        return type(exc), str(exc)
+
+
+class TestConfigCodec:
+    def test_one_entry_per_config_field_in_order(self):
+        assert list(_CONFIG_FIELDS) == _KEYS
+
+    @given(st.lists(_config_line, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_parse_matches_the_per_key_parser(self, lines):
+        text = "\n".join(lines)
+        assert _outcome(parse_config_text, text) == _outcome(reference_parse_config_text, text)
+
+    @given(_configs)
+    @settings(max_examples=200, deadline=None)
+    def test_render_matches_the_per_key_renderer(self, cfg):
+        text = render_config(cfg)
+        assert text == reference_render_config(cfg)
+        assert parse_config_text(text) == (cfg, frozenset(_KEYS))
 
 
 class TestAuditConfig:

@@ -291,6 +291,103 @@ class TestFit:
             fit(ds, SplitIndices(train=(0, 1), test=()), ForestConfig(n_trees=1), n_workers=0)
 
 
+class TestWorkers:
+    @pytest.mark.parametrize(
+        "n_workers, n_trees, cpus, threads",
+        [
+            (5000, 3, 4, 3),  # one thread per tree at most
+            (5000, 6, 4, 4),  # one thread per CPU at most
+            (2, 6, 4, 2),
+            (4, 1, 4, None),  # one thread: no pool
+            (4, 6, 1, None),
+            (4, 6, None, None),  # unknown CPU count counts as one
+        ],
+    )
+    def test_thread_count_is_capped(self, monkeypatch, n_workers, n_trees, cpus, threads):
+        import detforest.forest as forest_module
+
+        started = []
+
+        class SerialPool:
+            """Stands in for ThreadPoolExecutor: records max_workers, maps serially."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return list(map(fn, items))
+
+        monkeypatch.setattr(forest_module, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(forest_module.os, "cpu_count", lambda: cpus)
+        ds = generate_synthetic_formulas(40, 4, 0)
+        split = train_test_split(ds, 0.75, 0)
+        cfg = ForestConfig(n_trees=n_trees, seed=3)
+        f = fit(ds, split, cfg, n_workers=n_workers)
+        assert started == ([] if threads is None else [threads])
+        assert forest_to_json(f) == forest_to_json(fit(ds, split, cfg))
+
+    @pytest.mark.parametrize("n_workers", [0, -1, 2.0, True, "2", None])
+    def test_worker_count_must_be_a_positive_int(self, n_workers):
+        ds = generate_synthetic_formulas(40, 4, 0)
+        split = train_test_split(ds, 0.75, 0)
+        with pytest.raises(ValueError, match="n_workers"):
+            fit(ds, split, ForestConfig(n_trees=2), n_workers=n_workers)
+
+
+# Row selections that are not integer indices in [0, n), as functions of n.
+_BAD_ROWS = {
+    "empty-list": lambda n: [],
+    "empty-tuple": lambda n: (),
+    "negative": lambda n: [-1],
+    "negative-range": lambda n: range(-n, 0),
+    "n": lambda n: [0, n],
+    "float": lambda n: [1.5],
+    "floats": lambda n: (0.9, 1.9, 2.9),
+    "integral-floats": lambda n: np.array([0.0, 1.0]),
+    "bool": lambda n: [True, False],
+    "2-d": lambda n: [[0, 1], [2, 3]],
+    "scalar": lambda n: 1,
+    "too-large-for-int64": lambda n: [2**64],
+}
+
+
+class TestRowIndices:
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        ds = generate_synthetic_formulas(40, 4, 0)
+        return ds, fit(ds, train_test_split(ds, 0.75, 0), ForestConfig(n_trees=2))
+
+    @pytest.mark.parametrize("entry", ["fit", "accuracy", "forest_divergence"])
+    @pytest.mark.parametrize("bad", list(_BAD_ROWS))
+    def test_bad_rows_rejected(self, fitted, entry, bad):
+        from detforest import SplitIndices
+
+        ds, f = fitted
+        rows = _BAD_ROWS[bad](ds.n)
+        with pytest.raises(ValueError, match="rows|indices"):
+            if entry == "fit":
+                fit(ds, SplitIndices(train=rows, test=()), ForestConfig(n_trees=1))
+            elif entry == "accuracy":
+                accuracy(f, ds, rows)
+            else:
+                forest_divergence([("a", f), ("b", f)], ds, rows=rows)
+
+    def test_any_integer_dtype_accepted(self, fitted):
+        ds, f = fitted
+        rows = [3, 0, 39, 7]
+        expected = accuracy(f, ds, rows)
+        for dtype in (np.int8, np.int32, np.uint16, np.uint64):
+            assert accuracy(f, ds, np.array(rows, dtype=dtype)) == expected
+        report = forest_divergence([("a", f), ("b", f)], ds, rows=np.array(rows, dtype=np.uint32))
+        assert report.n_test == 4
+
+
 def _leaf(counts: tuple[int, ...]) -> Leaf:
     return Leaf(n_samples=sum(counts), class_counts=counts, gini=0.0)
 

@@ -264,6 +264,22 @@ class TestBoundedUintBlock:
         with pytest.raises(ValueError):
             bounded_uint_block(RngState(0), np.array([3, 0], dtype=np.uint64))
 
+    def test_draw_above_the_max_test_but_not_rejected(self):
+        # 2**64 - 5 exceeds 2**64 - max(bounds) = 2**64 - 7, so the block
+        # goes to the scalar loop, yet bound 7 accepts it (2**64 mod 7 is 2):
+        # the result is the plain remainders, one draw per bound.
+        rng = state_with_draw(1, MASK - 4)
+        bounds = np.array([7, 3], dtype=np.uint64)
+        raw, raw_after = next_u64_block(rng, 2)
+        values, after = bounded_uint_block(rng, bounds)
+        assert values.tolist() == (raw % bounds).tolist()
+        assert after == raw_after
+
+    def test_empty_block(self):
+        values, after = bounded_uint_block(RngState(5), np.array([], dtype=np.uint64))
+        assert values.size == 0 and values.dtype == np.uint64
+        assert after == RngState(5)
+
 
 class TestStateWithDraw:
     @pytest.mark.parametrize("k, value", [(1, 0), (3, MASK), (7, 0x0123456789ABCDEF)])
