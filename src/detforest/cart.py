@@ -19,6 +19,10 @@ Two node-size semantics coexist because real packages disagree on what
 their "node size" parameter does: MIN_SPLIT refuses to split nodes smaller
 than the limit (children may be arbitrarily small), MIN_LEAF rejects any
 split that would produce a child below the limit.
+
+`grow_tree` and `best_split` take the forest's own `ForestConfig` and read
+only its growth fields: mtry, min_node_size, node_size_semantics,
+max_depth and tie_break.
 """
 
 from __future__ import annotations
@@ -26,11 +30,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dataset import Dataset
 from .prng import RngState, bounded_uint_block, permute, shuffle
+
+if TYPE_CHECKING:
+    from .forest import ForestConfig
 
 # Impurity comparisons treat values within this tolerance as tied.
 TIE_TOL = 1e-12
@@ -130,38 +138,6 @@ class DecisionTree:
     n_classes: int
 
 
-@dataclass(frozen=True)
-class GrowConfig:
-    """Tree-growth parameters (the per-tree slice of the forest config)."""
-
-    mtry: int
-    min_node_size: int = 1
-    node_size_semantics: NodeSizeSemantics = NodeSizeSemantics.MIN_SPLIT
-    max_depth: int | None = None
-    tie_break: TieBreak = TieBreak.LOWEST_FEATURE_INDEX
-
-    def validate(self, p: int) -> None:
-        if type(self.mtry) is not int or not 1 <= self.mtry <= p:
-            raise ValueError(f"mtry must be an integer in [1, {p}], got {self.mtry!r}")
-        check_growth_fields(self)
-
-
-def check_growth_fields(cfg) -> None:
-    """Rules for the fields a GrowConfig shares with a ForestConfig.
-
-    Integers must be ints (``type(v) is int``, so not bool or float), as
-    the forest loader reads them, and enum fields must be enum members.
-    """
-    if type(cfg.min_node_size) is not int or cfg.min_node_size < 1:
-        raise ValueError(f"min_node_size must be an integer >= 1, got {cfg.min_node_size!r}")
-    if cfg.max_depth is not None and (type(cfg.max_depth) is not int or cfg.max_depth < 1):
-        raise ValueError(f"max_depth must be an integer >= 1 or None, got {cfg.max_depth!r}")
-    if not isinstance(cfg.node_size_semantics, NodeSizeSemantics):
-        raise ValueError(f"node_size_semantics must be a NodeSizeSemantics, got {cfg.node_size_semantics!r}")
-    if not isinstance(cfg.tie_break, TieBreak):
-        raise ValueError(f"tie_break must be a TieBreak, got {cfg.tie_break!r}")
-
-
 def draw_candidates(rng: RngState, p: int, mtry: int) -> tuple[list[int], RngState]:
     """First mtry entries of a fresh permutation of [0, p), in draw order.
 
@@ -192,10 +168,13 @@ def best_split(
     row_indices: np.ndarray,
     candidates: list[int],
     parent: ClassCounts,
-    cfg: GrowConfig,
+    cfg: ForestConfig,
     weights: np.ndarray | None = None,
 ) -> Split | None:
     """Best admissible split of the node, or None if nothing qualifies.
+
+    Of the `ForestConfig` cfg it reads tie_break, min_node_size and
+    node_size_semantics; the candidates are given.
 
     Within a feature, every boundary between adjacent distinct sorted values
     is evaluated.  The minimum weighted child impurity over all candidates
@@ -337,8 +316,13 @@ def _partner_rows(rng: RngState, p: int, block: int):
         yield from values.reshape(block, p - 1).tolist()
 
 
-def grow_tree(ds: Dataset, row_indices: np.ndarray, cfg: GrowConfig, rng: RngState) -> DecisionTree:
+def grow_tree(ds: Dataset, row_indices: np.ndarray, cfg: ForestConfig, rng: RngState) -> DecisionTree:
     """Grow a tree on the given rows, threading the PRNG state in preorder.
+
+    Of the `ForestConfig` cfg it reads the growth fields only: mtry (as
+    `cfg.resolved_mtry(ds.p)`, which raises ValueError unless it is in
+    [1, p]), min_node_size, node_size_semantics, max_depth and tie_break.
+    The caller draws the bootstrap sample and derives the tree's stream.
 
     A node becomes a leaf when it is pure, when it sits at max_depth, when
     MIN_SPLIT semantics finds it smaller than min_node_size, or when no
@@ -357,7 +341,7 @@ def grow_tree(ds: Dataset, row_indices: np.ndarray, cfg: GrowConfig, rng: RngSta
     the PRNG consumption order identical to the textbook recursive
     formulation.
     """
-    cfg.validate(ds.p)
+    mtry = cfg.resolved_mtry(ds.p)
     idx = np.asarray(row_indices, dtype=np.intp)
     if idx.size == 0:
         raise ValueError("row_indices must be non-empty")
@@ -388,7 +372,7 @@ def grow_tree(ds: Dataset, row_indices: np.ndarray, cfg: GrowConfig, rng: RngSta
             continue
 
         # The first mtry entries of the node's permutation, as draw_candidates.
-        candidates = permute(next(partner_rows))[: cfg.mtry]
+        candidates = permute(next(partner_rows))[:mtry]
         sp = best_split(ds, node_rows, candidates, counts, cfg, node_weights)
         if sp is None:
             nodes.append(Leaf(total, counts.counts, g))

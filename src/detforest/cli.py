@@ -186,9 +186,14 @@ _CONFIG_FIELDS: dict[str, tuple] = {
 }
 
 
+def _config_tokens(cfg: ForestConfig) -> list[tuple[str, str]]:
+    """(key, token) for each field of cfg, in file order."""
+    return [(key, write(getattr(cfg, key))) for key, (*_, write) in _CONFIG_FIELDS.items()]
+
+
 def render_config(cfg: ForestConfig) -> str:
     """Config-file text for cfg; parse_config_text inverts this exactly."""
-    lines = [f"{key} = {write(getattr(cfg, key))}" for key, (*_, write) in _CONFIG_FIELDS.items()]
+    lines = [f"{key} = {token}" for key, token in _config_tokens(cfg)]
     return "\n".join([_CONFIG_HEADER, *lines]) + "\n"
 
 
@@ -368,16 +373,6 @@ def _internal_sizes(tree: DecisionTree) -> list[int]:
     return [node.n_samples for node in tree.nodes if isinstance(node, Internal)]
 
 
-def _describe_config(cfg: ForestConfig) -> str:
-    mtry = "sqrt" if cfg.mtry is None else cfg.mtry
-    return (
-        f"n_trees={cfg.n_trees} mtry={mtry} bootstrap={'true' if cfg.bootstrap else 'false'} "
-        f"sample_fraction={cfg.sample_fraction!r} min_node_size={cfg.min_node_size} "
-        f"({cfg.node_size_semantics.value}) max_depth={cfg.max_depth} "
-        f"tie_break={cfg.tie_break.value} aggregation={cfg.aggregation.value}"
-    )
-
-
 # --------------------------------------------------------------------------
 # Commands
 
@@ -472,7 +467,7 @@ def cmd_run(args) -> int:
     cfg = dataclasses.replace(cfg, **overrides)
 
     ds, split, origin = _load_data(args, seed)
-    cfg.to_grow_config(ds.p)  # fail fast on invalid mtry before any training
+    cfg.resolved_mtry(ds.p)  # fail fast on invalid mtry before any training
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -527,7 +522,7 @@ def cmd_run(args) -> int:
     print(f"preset: {preset.name if preset else f'config file {args.config}'}")
     print(f"seed: {seed}  trials: {args.trials}")
     print(f"data: {origin} (train {len(split.train)} / test {len(split.test)})")
-    print(f"forest: {_describe_config(cfg)}")
+    print("forest:", " ".join(f"{key}={token}" for key, token in _config_tokens(cfg)))
     print(f"canonical-equal: {n_canonical}/{len(all_trees)}")
     print(f"bit-equal: {n_bit}/{len(all_trees)}")
     if args.trials >= 2:

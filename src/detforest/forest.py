@@ -31,17 +31,15 @@ import numpy as np
 from .cart import (
     ClassCounts,
     DecisionTree,
-    GrowConfig,
     Internal,
     Leaf,
     NodeSizeSemantics,
     TieBreak,
-    check_growth_fields,
     gini,
     grow_tree,
 )
 from .dataset import Dataset, SplitIndices
-from .prng import RngState, bounded_uint_block, derive_stream, shuffle
+from .prng import TRIAL_STREAM, RngState, bounded_uint_block, derive_stream, shuffle
 
 FOREST_SCHEMA = "detforest.forest.v1"
 
@@ -75,11 +73,21 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if type(self.n_trees) is not int or self.n_trees < 1:
-            raise ValueError(f"n_trees must be an integer >= 1, got {self.n_trees!r}")
+        # Integers must be ints (`type(v) is int`, so not bool or float), as
+        # the forest loader reads them, and enum fields must be enum members.
+        # Tree k draws from stream k, so n_trees stops below the reserved ones.
+        if type(self.n_trees) is not int or not 1 <= self.n_trees <= TRIAL_STREAM:
+            raise ValueError(f"n_trees must be an integer in [1, {TRIAL_STREAM}], got {self.n_trees!r}")
         if not (self.mtry is None or self.mtry == MTRY_ALL or (type(self.mtry) is int and self.mtry >= 1)):
             raise ValueError(f"mtry must be an integer >= 1, {MTRY_ALL!r} or None, got {self.mtry!r}")
-        check_growth_fields(self)
+        if type(self.min_node_size) is not int or self.min_node_size < 1:
+            raise ValueError(f"min_node_size must be an integer >= 1, got {self.min_node_size!r}")
+        if self.max_depth is not None and (type(self.max_depth) is not int or self.max_depth < 1):
+            raise ValueError(f"max_depth must be an integer >= 1 or None, got {self.max_depth!r}")
+        if not isinstance(self.node_size_semantics, NodeSizeSemantics):
+            raise ValueError(f"node_size_semantics must be a NodeSizeSemantics, got {self.node_size_semantics!r}")
+        if not isinstance(self.tie_break, TieBreak):
+            raise ValueError(f"tie_break must be a TieBreak, got {self.tie_break!r}")
         if type(self.bootstrap) is not bool:
             raise ValueError(f"bootstrap must be True or False, got {self.bootstrap!r}")
         if not isinstance(self.sample_fraction, float) or not 0.0 < self.sample_fraction <= 1.0:
@@ -90,23 +98,17 @@ class ForestConfig:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
     def resolved_mtry(self, p: int) -> int:
-        """Concrete candidate count for a dataset with p features."""
-        if self.mtry is None:
-            return max(1, math.isqrt(p))
-        if self.mtry == MTRY_ALL:
-            return p
-        return self.mtry
+        """Concrete candidate count for a dataset with p features.
 
-    def to_grow_config(self, p: int) -> GrowConfig:
-        cfg = GrowConfig(
-            mtry=self.resolved_mtry(p),
-            min_node_size=self.min_node_size,
-            node_size_semantics=self.node_size_semantics,
-            max_depth=self.max_depth,
-            tie_break=self.tie_break,
-        )
-        cfg.validate(p)
-        return cfg
+        Raises ValueError unless it is in [1, p], so also for p < 1.
+        """
+        if self.mtry is None:
+            mtry = max(1, math.isqrt(max(p, 0)))
+        else:
+            mtry = p if self.mtry == MTRY_ALL else self.mtry
+        if not 1 <= mtry <= p:
+            raise ValueError(f"mtry must be an integer in [1, {p}], got {mtry!r}")
+        return mtry
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,7 @@ def fit(ds: Dataset, split: SplitIndices, cfg: ForestConfig, n_workers: int = 1)
     """
     if type(n_workers) is not int or n_workers < 1:
         raise ValueError(f"n_workers must be an integer >= 1, got {n_workers!r}")
-    grow_cfg = cfg.to_grow_config(ds.p)
+    cfg.resolved_mtry(ds.p)  # an mtry above p fails before the first tree
     train = _row_indices(split.train, ds.n, "split has no training rows", "split training indices")
     skip_sampling = not cfg.bootstrap and cfg.sample_fraction == 1.0
 
@@ -177,7 +179,7 @@ def fit(ds: Dataset, split: SplitIndices, cfg: ForestConfig, n_workers: int = 1)
         else:
             sample, rng = bootstrap_sample(rng, train.size, cfg.bootstrap, cfg.sample_fraction)
             rows = train[sample]
-        return grow_tree(ds, rows, grow_cfg, rng)
+        return grow_tree(ds, rows, cfg, rng)
 
     # The pool starts one thread per submitted tree until max_workers.
     threads = min(n_workers, cfg.n_trees, os.cpu_count() or 1)
@@ -425,7 +427,7 @@ def forest_from_doc(doc: dict) -> Forest:
         n_features = _int(doc["n_features"], "n_features")
         n_classes = _int(doc["n_classes"], "n_classes")
         config = _config_from_doc(doc["config"])
-        config.to_grow_config(n_features)  # rejects n_features < 1 and an mtry above it
+        config.resolved_mtry(n_features)  # rejects n_features < 1 and an mtry above it
         trees = tuple(_tree_from_doc(td, n_features, n_classes) for td in doc["trees"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed forest document: {type(exc).__name__}: {exc}") from None

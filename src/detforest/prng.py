@@ -49,7 +49,7 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 # Reserved stream indices (top of the 64-bit range; tree indices count up
-# from 0 and can never reach these).
+# from 0, and ForestConfig caps n_trees at TRIAL_STREAM, so they stay below).
 SPLIT_STREAM = 0xFFFFFFFFFFFFFFFF
 SYNTH_STREAM = 0xFFFFFFFFFFFFFFFE
 TRIAL_STREAM = 0xFFFFFFFFFFFFFFFD

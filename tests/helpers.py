@@ -12,7 +12,6 @@ from detforest import (
     ClassCounts,
     Dataset,
     DecisionTree,
-    GrowConfig,
     Internal,
     Leaf,
     NodeSizeSemantics,
@@ -134,7 +133,7 @@ def state_with_draw(k: int, value: int) -> RngState:
 
 
 def reference_grow_tree(
-    ds: Dataset, row_indices: np.ndarray, cfg: GrowConfig, rng: RngState
+    ds: Dataset, row_indices: np.ndarray, cfg: ForestConfig, rng: RngState
 ) -> DecisionTree:
     """grow_tree as it was before trees grew on in-bag counts.
 
@@ -143,7 +142,7 @@ def reference_grow_tree(
     are appended in preorder, as grow_tree does; a split node's record is
     written when its right child is visited.
     """
-    cfg.validate(ds.p)
+    mtry = cfg.resolved_mtry(ds.p)
     idx = np.asarray(row_indices, dtype=np.intp)
     if idx.size == 0:
         raise ValueError("row_indices must be non-empty")
@@ -174,7 +173,7 @@ def reference_grow_tree(
             nodes.append(Leaf(total, counts.counts, g))
             continue
 
-        candidates, rng = draw_candidates(rng, ds.p, cfg.mtry)
+        candidates, rng = draw_candidates(rng, ds.p, mtry)
         sp = best_split(ds, node_idx, candidates, counts, cfg)
         if sp is None:
             nodes.append(Leaf(total, counts.counts, g))
@@ -266,7 +265,7 @@ def reference_best_split(
     row_indices: np.ndarray,
     candidates: list[int],
     parent: ClassCounts,
-    cfg: GrowConfig,
+    cfg: ForestConfig,
     weights: np.ndarray | None = None,
 ) -> Split | None:
     """best_split as it was before both children shared one array.

@@ -21,7 +21,6 @@ from detforest import (
     ClassCounts,
     Dataset,
     ForestConfig,
-    GrowConfig,
     NodeSizeSemantics,
     TieBreak,
     accuracy,
@@ -125,7 +124,7 @@ def test_criterion_2_split_search_matches_exhaustive_oracle(capfd):
             order = [int(v) for v in rng.permutation(p)]
             for tb in TieBreak:
                 sp = best_split(
-                    ds, rows, order, parent, GrowConfig(mtry=p, tie_break=tb)
+                    ds, rows, order, parent, ForestConfig(mtry=p, tie_break=tb)
                 )
                 if not oracle:
                     assert sp is None, f"dataset {k}: split found, oracle empty"
@@ -144,7 +143,7 @@ def test_criterion_3_tie_policy_changes_bits_not_structure(capfd):
 
         def grown(tb: TieBreak, stream: int):
             return grow_tree(
-                ds, rows, GrowConfig(mtry=2, tie_break=tb), derive_stream(0, stream)
+                ds, rows, ForestConfig(mtry=2, tie_break=tb), derive_stream(0, stream)
             )
 
         first = [grown(TieBreak.FIRST_IN_DRAW_ORDER, s) for s in range(20)]

@@ -10,7 +10,6 @@ from detforest import (
     DecisionTree,
     Forest,
     ForestConfig,
-    GrowConfig,
     SplitIndices,
     TieBreak,
     canonicalize,
@@ -69,7 +68,7 @@ class TestCanonicalize:
     def test_internal_signature_recomputed_from_children(self):
         ds = duplicated_feature_dataset(copies_per_value=1)
         tree = grow_tree(
-            ds, np.arange(4), GrowConfig(mtry=2), derive_stream(0, 0)
+            ds, np.arange(4), ForestConfig(mtry=2), derive_stream(0, 0)
         )
         canon = canonicalize(tree)
         assert len(canon) == 3
@@ -99,7 +98,7 @@ class TestTreesEqualCanonical:
     def test_reflexive(self):
         ds = generate_synthetic_formulas(60, 4, 1)
         tree = grow_tree(
-            ds, np.arange(ds.n), GrowConfig(mtry=2), derive_stream(1, 0)
+            ds, np.arange(ds.n), ForestConfig(mtry=2), derive_stream(1, 0)
         )
         assert trees_equal_canonical(tree, tree)
 
@@ -114,11 +113,11 @@ class TestTreesEqualCanonical:
         else:
             pytest.fail("no stream drew [1, 0] in 20 tries")
         first = grow_tree(
-            ds, rows, GrowConfig(mtry=2, tie_break=TieBreak.FIRST_IN_DRAW_ORDER),
+            ds, rows, ForestConfig(mtry=2, tie_break=TieBreak.FIRST_IN_DRAW_ORDER),
             derive_stream(5, s),
         )
         lowest = grow_tree(
-            ds, rows, GrowConfig(mtry=2, tie_break=TieBreak.LOWEST_FEATURE_INDEX),
+            ds, rows, ForestConfig(mtry=2, tie_break=TieBreak.LOWEST_FEATURE_INDEX),
             derive_stream(5, s),
         )
         assert not trees_equal_exact(first, lowest)
@@ -131,9 +130,9 @@ class TestTreesEqualCanonical:
 
     def test_depth_capped_prefix_detected(self):
         ds = tiny_dataset([[1.0, 2.0, 3.0, 4.0]], [0, 0, 1, 0])
-        full = grow_tree(ds, np.arange(4), GrowConfig(mtry=1), derive_stream(0, 0))
+        full = grow_tree(ds, np.arange(4), ForestConfig(mtry=1), derive_stream(0, 0))
         stump = grow_tree(
-            ds, np.arange(4), GrowConfig(mtry=1, max_depth=1), derive_stream(0, 0)
+            ds, np.arange(4), ForestConfig(mtry=1, max_depth=1), derive_stream(0, 0)
         )
         assert not trees_equal_canonical(full, stump)
 
@@ -154,7 +153,7 @@ class TestTreesEqualCanonical:
         trees = [
             grow_tree(
                 ds, rows,
-                GrowConfig(mtry=2, tie_break=TieBreak.FIRST_IN_DRAW_ORDER),
+                ForestConfig(mtry=2, tie_break=TieBreak.FIRST_IN_DRAW_ORDER),
                 derive_stream(5, s),
             )
             for s in range(6)

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detforest import (
+    Aggregation,
     ClassCounts,
     Dataset,
-    GrowConfig,
+    ForestConfig,
     NodeSizeSemantics,
     TieBreak,
     derive_stream,
@@ -171,9 +172,9 @@ class TestDrawCandidates:
         assert all(0 <= f < p for f in cands)
 
 
-def _grow_cfg(**kw) -> GrowConfig:
+def _grow_cfg(**kw) -> ForestConfig:
     kw.setdefault("mtry", 1)
-    return GrowConfig(**kw)
+    return ForestConfig(**kw)
 
 
 class TestBestSplit:
@@ -402,8 +403,8 @@ def _tied_dataset(data) -> Dataset:
     return Dataset(features, labels, [f"f{i}" for i in range(features.shape[1])])
 
 
-def _any_grow_cfg(data, p: int) -> GrowConfig:
-    return GrowConfig(
+def _any_grow_cfg(data, p: int) -> ForestConfig:
+    return ForestConfig(
         mtry=data.draw(st.integers(min_value=1, max_value=p), label="mtry"),
         min_node_size=data.draw(st.sampled_from([1, 3, 7]), label="min_node_size"),
         node_size_semantics=data.draw(st.sampled_from(NodeSizeSemantics), label="semantics"),
@@ -448,7 +449,7 @@ class TestBestSplitMatchesReference:
         )
         order = data.draw(st.permutations(range(ds.p)), label="draw order")
         candidates = order[: data.draw(st.integers(1, ds.p), label="mtry")]
-        cfg = GrowConfig(
+        cfg = ForestConfig(
             mtry=len(candidates),
             min_node_size=data.draw(st.integers(1, 4), label="min_node_size"),
             node_size_semantics=data.draw(st.sampled_from(list(NodeSizeSemantics)), label="semantics"),
@@ -548,7 +549,7 @@ class TestGrowOnCounts:
         ds = Dataset(features, gen.integers(0, 3, size=400), [f"f{i}" for i in range(30)])
         rows, rng = bootstrap_sample(derive_stream(3, 1), ds.n, True, 1.0)
         assert np.unique(rows).size < rows.size
-        cfg = GrowConfig(mtry=5, tie_break=tie_break)
+        cfg = ForestConfig(mtry=5, tie_break=tie_break)
         tree = grow_tree(ds, rows, cfg, rng)
         assert sum(1 for _ in iter_nodes(tree)) > 50
         assert trees_equal_exact(tree, reference_grow_tree(ds, rows, cfg, rng))
@@ -589,7 +590,7 @@ class TestCandidateBlocks:
         rng = state_with_draw(k, MASK64)
         assert next_u64_block(rng, k)[0][-1] == MASK64
         assert (1 << 64) % (p - (k - 1) % (p - 1)) != 0  # the draw's bound rejects it
-        cfg = GrowConfig(mtry=3, tie_break=TieBreak.FIRST_IN_DRAW_ORDER)
+        cfg = ForestConfig(mtry=3, tie_break=TieBreak.FIRST_IN_DRAW_ORDER)
         rows = np.arange(ds.n)
         with mock.patch("detforest.cart.DRAW_BLOCK_VALUES", block * p):
             tree = grow_tree(ds, rows, cfg, rng)
@@ -603,7 +604,7 @@ class TestGrowTree:
         # Clean separation at 2.5; both children pure. Deterministic for any
         # stream because every candidate draw yields an equivalent split.
         ds = duplicated_feature_dataset(copies_per_value=1)
-        cfg = GrowConfig(mtry=2, tie_break=TieBreak.LOWEST_FEATURE_INDEX)
+        cfg = ForestConfig(mtry=2, tie_break=TieBreak.LOWEST_FEATURE_INDEX)
         tree = grow_tree(ds, np.arange(4), cfg, derive_stream(0, 0))
         root = tree.nodes[0]
         assert isinstance(root, Internal)
@@ -627,7 +628,7 @@ class TestGrowTree:
 
     def test_determinism_same_stream(self):
         ds = duplicated_feature_dataset(copies_per_value=5)
-        cfg = GrowConfig(mtry=1)
+        cfg = ForestConfig(mtry=1)
         a = grow_tree(ds, np.arange(ds.n), cfg, derive_stream(7, 3))
         b = grow_tree(ds, np.arange(ds.n), cfg, derive_stream(7, 3))
         assert trees_equal_exact(a, b)
@@ -640,7 +641,7 @@ class TestGrowTree:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_structural_invariants_fully_grown(self, seed):
         ds = self._invariant_dataset(seed)
-        cfg = GrowConfig(mtry=2)
+        cfg = ForestConfig(mtry=2)
         tree = grow_tree(ds, np.arange(ds.n), cfg, derive_stream(seed, 0))
         self._check_invariants(ds, tree, cfg)
         # Fully grown with min size 1: every leaf is pure.
@@ -651,12 +652,12 @@ class TestGrowTree:
     @pytest.mark.parametrize(
         "cfg",
         [
-            GrowConfig(mtry=2, max_depth=3),
-            GrowConfig(mtry=2, min_node_size=20,
-                       node_size_semantics=NodeSizeSemantics.MIN_SPLIT),
-            GrowConfig(mtry=2, min_node_size=15,
-                       node_size_semantics=NodeSizeSemantics.MIN_LEAF),
-            GrowConfig(mtry=5, tie_break=TieBreak.FIRST_IN_DRAW_ORDER),
+            ForestConfig(mtry=2, max_depth=3),
+            ForestConfig(mtry=2, min_node_size=20,
+                         node_size_semantics=NodeSizeSemantics.MIN_SPLIT),
+            ForestConfig(mtry=2, min_node_size=15,
+                         node_size_semantics=NodeSizeSemantics.MIN_LEAF),
+            ForestConfig(mtry=5, tie_break=TieBreak.FIRST_IN_DRAW_ORDER),
         ],
     )
     def test_structural_invariants_constrained(self, cfg):
@@ -664,7 +665,7 @@ class TestGrowTree:
         tree = grow_tree(ds, np.arange(ds.n), cfg, derive_stream(11, 0))
         self._check_invariants(ds, tree, cfg)
 
-    def _check_invariants(self, ds: Dataset, tree, cfg: GrowConfig) -> None:
+    def _check_invariants(self, ds: Dataset, tree, cfg: ForestConfig) -> None:
         assert tree.n_features == ds.p
         assert tree.n_classes == ds.c
         root = tree.nodes[0]
@@ -706,7 +707,7 @@ class TestGrowTree:
             (np.arange(n) % 2).astype(np.int64),
             ["f0"],
         )
-        tree = grow_tree(ds, np.arange(n), GrowConfig(mtry=1), derive_stream(0, 0))
+        tree = grow_tree(ds, np.arange(n), ForestConfig(mtry=1), derive_stream(0, 0))
         depths = [d for _, d in iter_nodes(tree)]
         assert max(depths) == n - 1
         assert len(depths) == 2 * n - 1
@@ -717,22 +718,42 @@ class TestGrowTree:
     def test_invalid_config_rejected_before_growth(self):
         ds = tiny_dataset([[1.0, 2.0]], [0, 1])
         with pytest.raises(ValueError):
-            grow_tree(ds, np.arange(2), GrowConfig(mtry=5), derive_stream(0, 0))
+            grow_tree(ds, np.arange(2), ForestConfig(mtry=5), derive_stream(0, 0))
         with pytest.raises(ValueError):
             grow_tree(
-                ds, np.arange(2), GrowConfig(mtry=1, min_node_size=0),
+                ds, np.arange(2), ForestConfig(mtry=1, min_node_size=0),
                 derive_stream(0, 0),
             )
         with pytest.raises(ValueError):
             grow_tree(
-                ds, np.arange(2), GrowConfig(mtry=1, max_depth=0),
+                ds, np.arange(2), ForestConfig(mtry=1, max_depth=0),
                 derive_stream(0, 0),
             )
         with pytest.raises(ValueError):
             grow_tree(
-                ds, np.array([], dtype=np.intp), GrowConfig(mtry=1),
+                ds, np.array([], dtype=np.intp), ForestConfig(mtry=1),
                 derive_stream(0, 0),
             )
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            {"n_trees": 7},
+            {"bootstrap": False},
+            {"sample_fraction": 0.5},
+            {"aggregation": Aggregation.MAJORITY_VOTE},
+            {"seed": 2**64 - 1},
+            {"n_trees": 1, "bootstrap": False, "sample_fraction": 0.25,
+             "aggregation": Aggregation.MAJORITY_VOTE, "seed": 9},
+        ],
+    )
+    def test_growth_reads_only_the_growth_fields(self, other):
+        ds = self._invariant_dataset(4)
+        rows = np.repeat(np.arange(ds.n), np.arange(ds.n) % 3 + 1)
+        growth = {"mtry": 2, "min_node_size": 3, "max_depth": 6, "tie_break": TieBreak.FIRST_IN_DRAW_ORDER}
+        rng = derive_stream(12, 0)
+        base = grow_tree(ds, rows, ForestConfig(**growth), rng)
+        assert trees_equal_exact(base, grow_tree(ds, rows, ForestConfig(**growth, **other), rng))
 
 
 def _counts(node) -> tuple[int, ...]:
@@ -743,7 +764,7 @@ class TestIterNodes:
     def test_preorder(self):
         ds = duplicated_feature_dataset()
         tree = grow_tree(
-            ds, np.arange(ds.n), GrowConfig(mtry=2), derive_stream(0, 0)
+            ds, np.arange(ds.n), ForestConfig(mtry=2), derive_stream(0, 0)
         )
         nodes = list(iter_nodes(tree))
         # root first
@@ -775,7 +796,7 @@ def _subtree_nodes(tree, i):
 class TestTreesEqualExact:
     def test_equal_to_itself_and_twin(self):
         ds = duplicated_feature_dataset()
-        cfg = GrowConfig(mtry=2)
+        cfg = ForestConfig(mtry=2)
         a = grow_tree(ds, np.arange(ds.n), cfg, derive_stream(1, 0))
         b = grow_tree(ds, np.arange(ds.n), cfg, derive_stream(1, 0))
         assert trees_equal_exact(a, b)
@@ -793,12 +814,12 @@ class TestTreesEqualExact:
             pytest.fail("no stream with draw order [1, 0] in 20 tries")
         first = grow_tree(
             ds, rows,
-            GrowConfig(mtry=2, tie_break=TieBreak.FIRST_IN_DRAW_ORDER),
+            ForestConfig(mtry=2, tie_break=TieBreak.FIRST_IN_DRAW_ORDER),
             derive_stream(5, s),
         )
         lowest = grow_tree(
             ds, rows,
-            GrowConfig(mtry=2, tie_break=TieBreak.LOWEST_FEATURE_INDEX),
+            ForestConfig(mtry=2, tie_break=TieBreak.LOWEST_FEATURE_INDEX),
             derive_stream(5, s),
         )
         assert not trees_equal_exact(first, lowest)
@@ -841,7 +862,7 @@ class TestPredictLeaf:
 
         ds = generate_synthetic_formulas(80, 4, 5)
         tree = grow_tree(
-            ds, np.arange(ds.n), GrowConfig(mtry=4), derive_stream(5, 0)
+            ds, np.arange(ds.n), ForestConfig(mtry=4), derive_stream(5, 0)
         )
         for i in range(ds.n):
             leaf = predict_leaf(tree, ds.features[i])
@@ -876,7 +897,7 @@ class TestOracleProperties:
         order = list(rng.permutation(p))
         for tb in TieBreak:
             sp = best_split(
-                ds, rows, order, parent, GrowConfig(mtry=p, tie_break=tb)
+                ds, rows, order, parent, ForestConfig(mtry=p, tie_break=tb)
             )
             if not oracle:
                 assert sp is None

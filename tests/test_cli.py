@@ -408,6 +408,26 @@ class TestRunConfigFile:
         assert written.aggregation is Aggregation.MAJORITY_VOTE
         assert written.seed == 77
 
+    def test_banner_lists_the_written_config(self, dup_csv, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(render_config(ForestConfig(
+            n_trees=2, mtry=1, max_depth=3, node_size_semantics=NodeSizeSemantics.MIN_LEAF,
+            sample_fraction=0.75, seed=77,
+        )))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--data", dup_csv,
+                     "--tie-break", "first-in-draw-order", "--out-dir", str(out)]) == 0
+        banner = [line for line in capsys.readouterr().out.splitlines() if line.startswith("forest: ")]
+        assert len(banner) == 1
+        shown = [tuple(pair.split("=", 1)) for pair in banner[0].removeprefix("forest: ").split(" ")]
+        written = [
+            tuple(part.strip() for part in line.split("=", 1))
+            for line in (out / "config.txt").read_text().splitlines()
+            if line and not line.startswith("#")
+        ]
+        assert shown == written
+        assert ("tie_break", "first-in-draw-order") in shown
+
 
 class TestRunDeterminism:
     def test_two_runs_byte_identical(self, dup_csv, tmp_path, capsys):

@@ -29,7 +29,7 @@ from detforest import (
     save_forest,
     train_test_split,
 )
-from detforest.cart import DecisionTree, GrowConfig, Internal, Leaf, iter_nodes, trees_equal_exact
+from detforest.cart import DecisionTree, Internal, Leaf, iter_nodes, trees_equal_exact
 from detforest.forest import (
     _argmax_lowest,
     bootstrap_sample,
@@ -37,7 +37,7 @@ from detforest.forest import (
     forest_to_doc,
     predict_argmax_proba,
 )
-from detforest.prng import bounded_uint, shuffle
+from detforest.prng import TRIAL_STREAM, bounded_uint, shuffle
 
 from helpers import (
     GOLDEN,
@@ -130,10 +130,19 @@ class TestForestConfig:
         assert ForestConfig().resolved_mtry(1) == 1
         assert ForestConfig(mtry="all").resolved_mtry(87) == 87
         assert ForestConfig(mtry=3).resolved_mtry(87) == 3
+        # An mtry above p, and every mtry once there are no features.
+        for mtry, p in [(5, 4), (None, 0), ("all", 0), (1, 0), (None, -1)]:
+            with pytest.raises(ValueError, match=rf"mtry must be an integer in \[1, {p}\]"):
+                ForestConfig(mtry=mtry).resolved_mtry(p)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ForestConfig(n_trees=0)
+        # Tree k draws from stream k: TRIAL_STREAM is the lowest reserved one.
+        assert ForestConfig(n_trees=TRIAL_STREAM).n_trees == TRIAL_STREAM
+        for n_trees in (TRIAL_STREAM + 1, 2**64):
+            with pytest.raises(ValueError, match="n_trees"):
+                ForestConfig(n_trees=n_trees)
         with pytest.raises(ValueError):
             ForestConfig(sample_fraction=0.0)
         with pytest.raises(ValueError):
@@ -166,8 +175,10 @@ class TestForestConfig:
         [
             ("n_trees", True),
             ("n_trees", 2.0),
+            ("mtry", True),
             ("mtry", 2.0),
             ("min_node_size", True),
+            ("min_node_size", 2.0),
             ("max_depth", True),
             ("seed", True),
             ("bootstrap", 1),
@@ -181,23 +192,6 @@ class TestForestConfig:
     def test_wrong_typed_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             ForestConfig(**{field: value})
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("mtry", True),
-            ("mtry", 2.0),
-            ("min_node_size", True),
-            ("min_node_size", 2.0),
-            ("max_depth", True),
-            ("node_size_semantics", "min-leaf"),
-            ("tie_break", "first-in-draw-order"),
-        ],
-    )
-    def test_grow_config_rejects_wrong_typed_field(self, field, value):
-        cfg = GrowConfig(**{"mtry": 2, field: value})
-        with pytest.raises(ValueError, match=field):
-            cfg.validate(4)
 
     @pytest.mark.parametrize(
         "cfg",

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 import detforest
 from detforest import ForestConfig, NodeSizeSemantics, TieBreak, generate_synthetic_formulas, save_csv
 from detforest.cli import SPLIT_SCHEMA, _read_split_file, main, parse_config_text, render_config
+from detforest.prng import TRIAL_STREAM
 
 N_ROWS = 8
 
@@ -108,7 +109,7 @@ def test_mutated_config_loads_valid_or_exits_2(files, text):
         return
     assert parse_config_text(render_config(cfg))[0] == cfg
     try:
-        cfg.to_grow_config(4)
+        cfg.resolved_mtry(4)
     except ValueError:
         _assert_exit_2(["run", "--config", path, "--rows", N_ROWS, "--features", 4,
                         "--out-dir", files / "out"])
@@ -218,6 +219,17 @@ def test_bad_split_file_exits_2(files, tmp_path, name):
         _read_split_file(path, N_ROWS)
     proc = _run_cli(["run", "--preset", "table3", "--data", files / "data.csv", "--split", path,
                      "--out-dir", tmp_path / "out"])
+    _assert_clean_exit_2(proc)
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("n_trees", [TRIAL_STREAM + 1, 2**64])
+def test_n_trees_reaching_a_reserved_stream_exits_2(files, tmp_path, n_trees):
+    path = tmp_path / "config.txt"
+    path.write_text(f"n_trees = {n_trees}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="n_trees"):
+        parse_config_text(path.read_text(encoding="utf-8"))
+    proc = _run_cli(["run", "--config", path, "--data", files / "data.csv", "--out-dir", tmp_path / "out"])
     _assert_clean_exit_2(proc)
     assert proc.stdout == ""
 

@@ -88,7 +88,7 @@ def _mutate(doc: dict, path: tuple, mutation) -> dict:
 def assert_valid_forest(forest: detforest.Forest) -> None:
     """Every invariant the loader promises, checked with the test's own walk."""
     assert len(forest.trees) == forest.config.n_trees
-    forest.config.to_grow_config(forest.n_features)
+    forest.config.resolved_mtry(forest.n_features)
     for tree in forest.trees:
         nodes = tree.nodes
         order, depths, stack = [], {}, [(0, 0)]
