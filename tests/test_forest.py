@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -192,6 +193,24 @@ class TestForestConfig:
     def test_wrong_typed_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             ForestConfig(**{field: value})
+
+    # grow_tree reads the growth fields of the config it is given; a config
+    # varied from a valid one by dataclasses.replace is checked again.
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mtry", 2.0),
+            ("min_node_size", True),
+            ("max_depth", True),
+            ("node_size_semantics", "min-leaf"),
+            ("tie_break", "first-in-draw-order"),
+        ],
+    )
+    def test_grow_config_rejects_wrong_typed_field(self, field, value):
+        cfg = ForestConfig(mtry=2)
+        assert cfg.resolved_mtry(4) == 2
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(cfg, **{field: value})
 
     @pytest.mark.parametrize(
         "cfg",
