@@ -14,6 +14,11 @@ Verbs:
 Every command is deterministic: the same invocation produces byte-identical
 output files.  Wall-clock timings go to stderr only.
 
+``run`` is a thin shell over the library call ``run_trials``, which fits
+the trials and tallies how far they agree; each ``ExperimentPreset``
+carries its expectations as (claim, check) data, and ``run`` only writes
+the files and prints.
+
 Exit codes: 0 success (and, for ``diff``, zero divergence; for ``run``, all
 expectations hold), 1 divergence/expectation failure, 2 usage or data error.
 """
@@ -27,8 +32,9 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
-from .canonical import canonicalize, forest_divergence
+from .canonical import DivergenceReport, canonicalize, forest_divergence
 from .cart import DecisionTree, Internal, Leaf, NodeSizeSemantics, TieBreak, trees_equal_exact
 from .dataset import (
     Dataset,
@@ -71,14 +77,40 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
+class TrialRun:
+    """What run_trials returns.  The tallies count the trees of all forests
+    that equal the first tree, next to the tree count; divergence is None
+    for one trial."""
+
+    seeds: tuple[int, ...]
+    forests: tuple[Forest, ...]
+    canonical_equal: tuple[int, int]
+    bit_equal: tuple[int, int]
+    divergence: DivergenceReport | None
+
+
+@dataclass(frozen=True)
 class ExperimentPreset:
     name: str
     description: str
     deltas: dict
+    # (claim, check): check(cfg, run) says whether the claim holds for a run
+    expectations: tuple[tuple[str, Callable[[ForestConfig, TrialRun], bool]], ...]
 
     def config(self) -> ForestConfig:
         return dataclasses.replace(ForestConfig(), **self.deltas)
 
+
+# What fig1 and fig2 share: one shallow, derandomized tree with node size 1000.
+_SHALLOW_TREE = {
+    "n_trees": 1,
+    "mtry": MTRY_ALL,
+    "bootstrap": False,
+    "sample_fraction": 1.0,
+    "min_node_size": 1000,
+    "max_depth": 5,
+}
+_NODE_SIZE = f"min_node_size={_SHALLOW_TREE['min_node_size']}"
 
 PRESETS: dict[str, ExperimentPreset] = {
     p.name: p
@@ -87,37 +119,54 @@ PRESETS: dict[str, ExperimentPreset] = {
             name="table2",
             description="bagged forest, package-default parameters, desk-scale tree count",
             deltas={"n_trees": 50},
+            expectations=((
+                "bootstrap produces at least two bit-distinct trees",
+                lambda cfg, run: not all(
+                    trees_equal_exact(run.forests[0].trees[0], t) for t in run.forests[0].trees
+                ),
+            ),),
         ),
         ExperimentPreset(
             name="table3",
             description="randomness eliminated: one tree, every feature a candidate, no bootstrap",
             deltas={"n_trees": 1, "mtry": MTRY_ALL, "bootstrap": False, "sample_fraction": 1.0},
+            expectations=((
+                "all trees canonically equal",
+                lambda cfg, run: run.canonical_equal[0] == run.canonical_equal[1],
+            ),),
         ),
         ExperimentPreset(
             name="fig1",
             description="shallow single tree, node size 1000 as a split threshold (children may be smaller)",
-            deltas={
-                "n_trees": 1,
-                "mtry": MTRY_ALL,
-                "bootstrap": False,
-                "sample_fraction": 1.0,
-                "min_node_size": 1000,
-                "node_size_semantics": NodeSizeSemantics.MIN_SPLIT,
-                "max_depth": 5,
-            },
+            deltas={**_SHALLOW_TREE, "node_size_semantics": NodeSizeSemantics.MIN_SPLIT},
+            expectations=(
+                (
+                    f"some leaf smaller than {_NODE_SIZE}",
+                    lambda cfg, run: any(
+                        isinstance(node, Leaf) and node.n_samples < cfg.min_node_size
+                        for node in run.forests[0].trees[0].nodes
+                    ),
+                ),
+                (
+                    f"every split node at least {_NODE_SIZE}",
+                    lambda cfg, run: all(
+                        isinstance(node, Leaf) or node.n_samples >= cfg.min_node_size
+                        for node in run.forests[0].trees[0].nodes
+                    ),
+                ),
+            ),
         ),
         ExperimentPreset(
             name="fig2",
             description="shallow single tree, node size 1000 as a leaf floor (no child may be smaller)",
-            deltas={
-                "n_trees": 1,
-                "mtry": MTRY_ALL,
-                "bootstrap": False,
-                "sample_fraction": 1.0,
-                "min_node_size": 1000,
-                "node_size_semantics": NodeSizeSemantics.MIN_LEAF,
-                "max_depth": 5,
-            },
+            deltas={**_SHALLOW_TREE, "node_size_semantics": NodeSizeSemantics.MIN_LEAF},
+            expectations=((
+                f"every leaf at least {_NODE_SIZE}",
+                lambda cfg, run: all(
+                    isinstance(node, Internal) or node.n_samples >= cfg.min_node_size
+                    for node in run.forests[0].trees[0].nodes
+                ),
+            ),),
         ),
     ]
 }
@@ -365,12 +414,31 @@ def _trial_seeds(base_seed: int, trials: int) -> list[int]:
     return seeds.tolist()
 
 
-def _leaf_sizes(tree: DecisionTree) -> list[int]:
-    return [node.n_samples for node in tree.nodes if isinstance(node, Leaf)]
-
-
-def _internal_sizes(tree: DecisionTree) -> list[int]:
-    return [node.n_samples for node in tree.nodes if isinstance(node, Internal)]
+def run_trials(
+    ds: Dataset, split: SplitIndices, cfg: ForestConfig, trials: int, workers: int = 1
+) -> TrialRun:
+    """Fit cfg once per trial, each on its own seed from _trial_seeds(cfg.seed,
+    trials), and compare the forests: tree tallies against the first tree,
+    and, for two or more trials, their divergence on split.test."""
+    if trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {trials}")
+    seeds = tuple(_trial_seeds(cfg.seed, trials))
+    forests = tuple(
+        fit(ds, split, dataclasses.replace(cfg, seed=seed), n_workers=workers) for seed in seeds
+    )
+    trees = [tree for forest in forests for tree in forest.trees]
+    reference = canonicalize(trees[0])
+    divergence = None
+    if trials >= 2:
+        labelled = [(f"trial-{t}", forest) for t, forest in enumerate(forests)]
+        divergence = forest_divergence(labelled, ds, rows=split.test)
+    return TrialRun(
+        seeds=seeds,
+        forests=forests,
+        canonical_equal=(sum(canonicalize(t) == reference for t in trees), len(trees)),
+        bit_equal=(sum(trees_equal_exact(trees[0], t) for t in trees), len(trees)),
+        divergence=divergence,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -395,61 +463,11 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _preset_expectations(
-    preset: ExperimentPreset | None,
-    cfg: ForestConfig,
-    forests: list[Forest],
-    canonical_equal: tuple[int, int],
-) -> list[tuple[str, bool]]:
-    """The verifiable claims each preset makes about its own output."""
-    if preset is None:
-        return []
-    if preset.name == "table2":
-        first = forests[0].trees
-        distinct = len(first) >= 2 and not all(
-            trees_equal_exact(first[0], t) for t in first[1:]
-        )
-        return [("bootstrap produces at least two bit-distinct trees", distinct)]
-    if preset.name == "table3":
-        equal, total = canonical_equal
-        return [("all trees canonically equal", equal == total)]
-    if preset.name == "fig1":
-        tree = forests[0].trees[0]
-        leaves = _leaf_sizes(tree)
-        internals = _internal_sizes(tree)
-        return [
-            (
-                f"some leaf smaller than min_node_size={cfg.min_node_size}",
-                any(v < cfg.min_node_size for v in leaves),
-            ),
-            (
-                f"every split node at least min_node_size={cfg.min_node_size}",
-                all(v >= cfg.min_node_size for v in internals),
-            ),
-        ]
-    if preset.name == "fig2":
-        tree = forests[0].trees[0]
-        leaves = _leaf_sizes(tree)
-        return [
-            (
-                f"every leaf at least min_node_size={cfg.min_node_size}",
-                all(v >= cfg.min_node_size for v in leaves),
-            )
-        ]
-    return []
-
-
 def cmd_run(args) -> int:
     t0 = time.monotonic()
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     preset: ExperimentPreset | None = None
     if args.preset is not None:
-        try:
-            preset = PRESETS[args.preset]
-        except KeyError:
-            known = ", ".join(sorted(PRESETS))
-            raise ValueError(f"unknown preset {args.preset!r} (known: {known})") from None
+        preset = PRESETS[args.preset]
         cfg = preset.config()
         seed = _resolve_seed(args.seed)
     else:
@@ -467,74 +485,54 @@ def cmd_run(args) -> int:
     cfg = dataclasses.replace(cfg, **overrides)
 
     ds, split, origin = _load_data(args, seed)
-    cfg.resolved_mtry(ds.p)  # fail fast on invalid mtry before any training
+    run = run_trials(ds, split, cfg, args.trials, args.workers)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    seeds = _trial_seeds(seed, args.trials)
-    forests: list[Forest] = []
-    for t, trial_seed in enumerate(seeds):
-        forest = fit(ds, split, dataclasses.replace(cfg, seed=trial_seed), n_workers=args.workers)
+    for t, forest in enumerate(run.forests):
         save_forest(forest, out_dir / f"forest-{t}.json")
-        forests.append(forest)
-
     (out_dir / "config.txt").write_text(render_config(cfg), encoding="utf-8")
-    (out_dir / "tree0.dot").write_text(tree_to_dot(forests[0].trees[0]), encoding="utf-8")
+    (out_dir / "tree0.dot").write_text(tree_to_dot(run.forests[0].trees[0]), encoding="utf-8")
 
-    all_trees = [tree for forest in forests for tree in forest.trees]
-    reference = canonicalize(all_trees[0])
-    n_canonical = sum(1 for t in all_trees if canonicalize(t) == reference)
-    n_bit = sum(1 for t in all_trees if trees_equal_exact(all_trees[0], t))
-    canonical_equal = (n_canonical, len(all_trees))
-
-    divergence_doc = None
-    max_divergent = 0
-    if args.trials >= 2:
-        report = forest_divergence(
-            [(f"trial-{t}", f) for t, f in enumerate(forests)], ds, rows=split.test
-        )
-        (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
-        divergence_doc = report.to_doc()
-        (out_dir / "report.json").write_text(dump_json(divergence_doc) + "\n", encoding="utf-8")
-        max_divergent = max((p.n_divergent for p in report.pairs), default=0)
-
-    acc = accuracy(forests[0], ds, split.test)
-    expectations = _preset_expectations(preset, cfg, forests, canonical_equal)
-
+    acc = accuracy(run.forests[0], ds, split.test)
+    checks = preset.expectations if preset else ()
+    expectations = [(claim, check(cfg, run)) for claim, check in checks]
     summary = {
         "preset": None if preset is None else preset.name,
         "seed": seed,
-        "trial_seeds": seeds,
+        "trial_seeds": run.seeds,
         "data": origin,
         "n_train": len(split.train),
         "n_test": len(split.test),
-        "canonical_equal": list(canonical_equal),
-        "bit_equal": [n_bit, len(all_trees)],
-        "max_pairwise_divergent": max_divergent,
+        "canonical_equal": run.canonical_equal,
+        "bit_equal": run.bit_equal,
+        "max_pairwise_divergent": 0,
         "accuracy": acc,
         "expectations": [{"name": name, "holds": ok} for name, ok in expectations],
     }
-    if divergence_doc is not None:
-        summary["divergence"] = divergence_doc
+    lines = [
+        f"preset: {preset.name if preset else f'config file {args.config}'}",
+        f"seed: {seed}  trials: {args.trials}",
+        f"data: {origin} (train {len(split.train)} / test {len(split.test)})",
+        "forest: " + " ".join(f"{key}={token}" for key, token in _config_tokens(cfg)),
+        "canonical-equal: {}/{}".format(*run.canonical_equal),
+        "bit-equal: {}/{}".format(*run.bit_equal),
+    ]
+    if run.divergence is not None:
+        (out_dir / "report.txt").write_text(run.divergence.to_text(), encoding="utf-8")
+        summary["divergence"] = run.divergence.to_doc()
+        (out_dir / "report.json").write_text(dump_json(summary["divergence"]) + "\n", encoding="utf-8")
+        max_divergent = max(p.n_divergent for p in run.divergence.pairs)
+        summary["max_pairwise_divergent"] = max_divergent
+        lines.append(f"divergence: max pairwise {max_divergent} of {len(split.test)} (report.txt)")
     (out_dir / "summary.json").write_text(dump_json(summary) + "\n", encoding="utf-8")
 
-    print(f"preset: {preset.name if preset else f'config file {args.config}'}")
-    print(f"seed: {seed}  trials: {args.trials}")
-    print(f"data: {origin} (train {len(split.train)} / test {len(split.test)})")
-    print("forest:", " ".join(f"{key}={token}" for key, token in _config_tokens(cfg)))
-    print(f"canonical-equal: {n_canonical}/{len(all_trees)}")
-    print(f"bit-equal: {n_bit}/{len(all_trees)}")
-    if args.trials >= 2:
-        print(f"divergence: max pairwise {max_divergent} of {len(split.test)} (report.txt)")
-    print(f"accuracy[{cfg.aggregation.value}]: {acc:.4f}")
-    ok = True
-    for name, holds in expectations:
-        print(f"expectation[{name}]: {'PASS' if holds else 'FAIL'}")
-        ok = ok and holds
-    print(f"wrote: {out_dir}")
+    lines.append(f"accuracy[{cfg.aggregation.value}]: {acc:.4f}")
+    lines += [f"expectation[{name}]: {'PASS' if holds else 'FAIL'}" for name, holds in expectations]
+    lines.append(f"wrote: {out_dir}")
+    print("\n".join(lines))
     print(f"elapsed: {time.monotonic() - t0:.2f}s", file=sys.stderr)
-    return 0 if ok else 1
+    return 0 if all(holds for _, holds in expectations) else 1
 
 
 def cmd_export_tree(args) -> int:

@@ -206,15 +206,6 @@ def _check_sample(f: Forest, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _argmax_lowest(values) -> int:
-    """Index of the maximum; exact ties resolve to the lowest index."""
-    best = 0
-    for i in range(1, len(values)):
-        if values[i] > values[best]:
-            best = i
-    return best
-
-
 def predict_majority(f: Forest, x: np.ndarray) -> int:
     """Each tree votes the argmax of its leaf distribution; plurality wins.
 
@@ -270,14 +261,14 @@ def _route(tree: DecisionTree, features: np.ndarray) -> list[tuple[Leaf, np.ndar
 
 
 def _scores(f: Forest, features: np.ndarray, agg: Aggregation) -> np.ndarray:
-    """Per-row votes (each tree's _argmax_lowest leaf class) or mean leaf
-    distributions, accumulated in tree order; np.argmax of a row then gives
-    exact ties to the lowest class id."""
+    """Per-row votes (each tree's leaf class with the most samples, the
+    lowest id on a tie) or mean leaf distributions, accumulated in tree
+    order; np.argmax of a row then gives exact ties to the lowest class id."""
     if agg is Aggregation.MAJORITY_VOTE:
         scores = np.zeros((features.shape[0], f.n_classes), dtype=np.int64)
         for tree in f.trees:
             for leaf, rows in _route(tree, features):
-                scores[rows, _argmax_lowest(leaf.class_distribution)] += 1
+                scores[rows, leaf.class_counts.index(max(leaf.class_counts))] += 1
         return scores
     scores = np.zeros((features.shape[0], f.n_classes))
     for tree in f.trees:

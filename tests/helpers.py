@@ -27,7 +27,7 @@ from detforest import (
 from detforest.cart import BLOCK_CELLS, TieBreak, _midpoint
 from detforest.cli import _CONFIG_HEADER, ConfigError
 from detforest.dataset import _map_labels
-from detforest.forest import MTRY_ALL, Aggregation, Forest, ForestConfig, _argmax_lowest, _check_sample
+from detforest.forest import MTRY_ALL, Aggregation, Forest, ForestConfig, _check_sample
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -187,6 +187,15 @@ def reference_grow_tree(
     return DecisionTree(nodes=tuple(nodes), n_features=ds.p, n_classes=ds.c)
 
 
+def argmax_lowest(values) -> int:
+    """Index of the maximum; exact ties resolve to the lowest index."""
+    best = 0
+    for i in range(1, len(values)):
+        if values[i] > values[best]:
+            best = i
+    return best
+
+
 def reference_predict_majority(f: Forest, x: np.ndarray) -> int:
     """predict_majority as it was before one-row calls went through the batched scorer.
 
@@ -197,8 +206,8 @@ def reference_predict_majority(f: Forest, x: np.ndarray) -> int:
     votes = [0] * f.n_classes
     for tree in f.trees:
         leaf = predict_leaf(tree, x)
-        votes[_argmax_lowest(leaf.class_distribution)] += 1
-    return _argmax_lowest(votes)
+        votes[argmax_lowest(leaf.class_distribution)] += 1
+    return argmax_lowest(votes)
 
 
 def reference_predict_proba(f: Forest, x: np.ndarray) -> np.ndarray:

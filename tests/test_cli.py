@@ -14,17 +14,22 @@ from detforest import (
     ForestConfig,
     NodeSizeSemantics,
     TieBreak,
+    forest_to_json,
+    generate_synthetic_formulas,
     load_forest,
     save_csv,
+    train_test_split,
 )
 from detforest.cli import (
     _CONFIG_FIELDS,
+    PRESETS,
     ConfigError,
     _trial_seeds,
     audit_config_text,
     main,
     parse_config_text,
     render_config,
+    run_trials,
 )
 from detforest.prng import TRIAL_STREAM, derive_stream, next_u64
 
@@ -463,6 +468,59 @@ class TestRunDeterminism:
         ).read_bytes()
 
 
+class TestRunTrials:
+    """run_trials, the library call behind `run`."""
+
+    @pytest.mark.parametrize("preset, extra", [
+        ("table2", ["--trees", "3"]),
+        ("table3", ["--tie-break", "first-in-draw-order"]),
+        ("fig1", []),
+        ("fig2", ["--aggregation", "majority-vote"]),
+    ])
+    def test_gives_what_run_writes(self, preset, extra, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["run", "--preset", preset, "--rows", "1500", "--features", "6", "--seed", "3",
+              "--trials", "2", *extra, "--out-dir", str(out)])
+        capsys.readouterr()
+        ds = generate_synthetic_formulas(1500, 6, 3)
+        split = train_test_split(ds, 0.8, 3)
+        cfg, _ = parse_config_text((out / "config.txt").read_text())
+        run = run_trials(ds, split, cfg, 2)
+        for t, forest in enumerate(run.forests):
+            assert forest_to_json(forest) + "\n" == (out / f"forest-{t}.json").read_text()
+        s = _summary(out)
+        assert list(run.seeds) == s["trial_seeds"]
+        assert [list(run.canonical_equal), list(run.bit_equal)] == [s["canonical_equal"], s["bit_equal"]]
+        assert run.divergence.to_doc() == s["divergence"]
+        held = [(claim, check(cfg, run)) for claim, check in PRESETS[preset].expectations]
+        assert held == [(e["name"], e["holds"]) for e in s["expectations"]]
+
+    def test_derandomized_trials_are_bit_equal(self):
+        ds = generate_synthetic_formulas(300, 6, 0)
+        split = train_test_split(ds, 0.8, 0)
+        cfg = dataclasses.replace(PRESETS["table3"].config(), n_trees=2)
+        run = run_trials(ds, split, cfg, 3)
+        assert run.canonical_equal == run.bit_equal == (6, 6)
+        assert len(set(run.seeds)) == 3
+        assert max(p.n_divergent for p in run.divergence.pairs) == 0
+
+    def test_one_trial_has_no_divergence(self):
+        ds = generate_synthetic_formulas(300, 6, 0)
+        split = train_test_split(ds, 0.8, 0)
+        run = run_trials(ds, split, ForestConfig(n_trees=4, seed=5), 1)
+        assert run.divergence is None
+        assert run.seeds == tuple(_trial_seeds(5, 1))
+        assert len(run.forests) == 1
+        assert run.bit_equal[1] == run.canonical_equal[1] == 4
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, trials):
+        ds = generate_synthetic_formulas(60, 4, 0)
+        split = train_test_split(ds, 0.8, 0)
+        with pytest.raises(ValueError, match="--trials must be >= 1"):
+            run_trials(ds, split, ForestConfig(n_trees=1), trials)
+
+
 class TestExportTree:
     @pytest.fixture()
     def run_dir(self, dup_csv, tmp_path, capsys):
@@ -573,6 +631,7 @@ class TestUsageErrors:
                    "--trials", "0", "--out-dir", str(tmp_path / "o")])
         assert rc == 2
         assert "--trials" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_preset_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:

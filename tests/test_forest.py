@@ -32,7 +32,6 @@ from detforest import (
 )
 from detforest.cart import DecisionTree, Internal, Leaf, iter_nodes, trees_equal_exact
 from detforest.forest import (
-    _argmax_lowest,
     bootstrap_sample,
     forest_from_doc,
     forest_to_doc,
@@ -43,6 +42,7 @@ from detforest.prng import TRIAL_STREAM, bounded_uint, shuffle
 from helpers import (
     GOLDEN,
     MASK64,
+    argmax_lowest,
     duplicated_feature_dataset,
     reference_predict_majority,
     reference_predict_proba,
@@ -484,9 +484,9 @@ class TestAggregation:
             assert (probs >= 0).all()
 
     def test_argmax_lowest(self):
-        assert _argmax_lowest([1, 3, 3]) == 1
-        assert _argmax_lowest([2, 2, 2]) == 0
-        assert _argmax_lowest([5]) == 0
+        assert argmax_lowest([1, 3, 3]) == 1
+        assert argmax_lowest([2, 2, 2]) == 0
+        assert argmax_lowest([5]) == 0
 
     def test_dimension_errors(self):
         f = _leaf_forest([(1, 0)], 2)
@@ -516,7 +516,7 @@ class TestBatchedPrediction:
         means = predict_classes(f, rows, Aggregation.MEAN_PROBABILITY)
         assert votes == [predict_majority(f, x) for x in rows]
         assert means == [predict_argmax_proba(f, x) for x in rows]
-        assert means == [_argmax_lowest(predict_proba(f, x)) for x in rows]
+        assert means == [argmax_lowest(predict_proba(f, x)) for x in rows]
         if max_depth is not None:
             assert votes != means  # impure leaves make the modes disagree somewhere
 
