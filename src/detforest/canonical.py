@@ -67,7 +67,7 @@ def canonicalize(tree: DecisionTree) -> CanonicalTree:
             CanonicalNode(
                 depth=depth,
                 n_samples=node.n_samples,
-                class_counts=tuple(node.class_counts),
+                class_counts=node.class_counts,
                 gini=_round10(node.gini),
                 split_signature=signature,
             )

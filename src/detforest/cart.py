@@ -62,26 +62,18 @@ class TieBreak(Enum):
     LOWEST_FEATURE_INDEX = "lowest-feature-index"
 
 
-@dataclass(frozen=True)
-class ClassCounts:
-    counts: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
+def class_counts_of(labels: np.ndarray, c: int) -> tuple[int, ...]:
+    """The count of each class in [0, c), as Python ints."""
+    return tuple(np.bincount(labels, minlength=c).tolist())
 
 
-def class_counts_of(labels: np.ndarray, c: int) -> ClassCounts:
-    return ClassCounts(tuple(int(v) for v in np.bincount(labels, minlength=c)))
-
-
-def gini(counts: ClassCounts) -> float:
+def gini(counts: tuple[int, ...]) -> float:
     """Gini impurity 1 - sum(p_i^2); an empty node has impurity 0."""
-    total = counts.total
+    total = sum(counts)
     if total == 0:
         return 0.0
     acc = 0.0
-    for count in counts.counts:
+    for count in counts:
         p = count / total
         acc += p * p
     return 1.0 - acc
@@ -91,8 +83,8 @@ def gini(counts: ClassCounts) -> float:
 class Split:
     feature: int
     threshold: float
-    left_counts: ClassCounts
-    right_counts: ClassCounts
+    left_counts: tuple[int, ...]
+    right_counts: tuple[int, ...]
     weighted_child_impurity: float
     impurity_decrease: float
 
@@ -167,7 +159,7 @@ def best_split(
     ds: Dataset,
     row_indices: np.ndarray,
     candidates: list[int],
-    parent: ClassCounts,
+    parent: tuple[int, ...],
     cfg: ForestConfig,
     weights: np.ndarray | None = None,
 ) -> Split | None:
@@ -218,7 +210,7 @@ def best_split(
     if n < 2 or cols.size == 0:
         return None
     parent_gini = gini(parent)
-    total = parent.total
+    total = sum(parent)
     c = ds.c
     min_leaf = cfg.min_node_size if cfg.node_size_semantics is NodeSizeSemantics.MIN_LEAF else 1
 
@@ -232,7 +224,7 @@ def best_split(
     np.equal(ds.labels[idx], np.arange(c)[:, None], out=units[:c])
     if w is not None:
         units[:c] *= w
-    totals = np.array((*parent.counts, total), dtype=np.float64)[:, None, None]
+    totals = np.array((*parent, total), dtype=np.float64)[:, None, None]
     # Weighted child impurity per (candidate, boundary); inf where inadmissible.
     weighted_all = np.empty((cols.size, n - 1))
     step = max(1, BLOCK_CELLS // (c * n))
@@ -292,12 +284,12 @@ def best_split(
     threshold = _midpoint(float(xs[j]), float(xs[j + 1]))
     weighted_value = float(weighted_all[col, j])
     left = tuple(int(v) for v in left_counts.tolist())
-    right = tuple(total_k - left_k for total_k, left_k in zip(parent.counts, left))
+    right = tuple(total_k - left_k for total_k, left_k in zip(parent, left))
     return Split(
         feature=f,
         threshold=threshold,
-        left_counts=ClassCounts(left),
-        right_counts=ClassCounts(right),
+        left_counts=left,
+        right_counts=right,
         weighted_child_impurity=weighted_value,
         impurity_decrease=parent_gini - weighted_value,
     )
@@ -350,38 +342,36 @@ def grow_tree(ds: Dataset, row_indices: np.ndarray, cfg: ForestConfig, rng: RngS
     partner_rows = _partner_rows(rng, ds.p, max(1, DRAW_BLOCK_VALUES // ds.p))
 
     # A split node's record is written once its right child's position is
-    # known: the right child's work item carries the parent's position,
-    # split, counts and gini, and the slot holds None until then.
+    # known: the right child's work item carries the parent's record fields
+    # but the right position, and the slot holds None until then.
     nodes: list[TreeNode | None] = []
     work: list[tuple] = [(rows, weights, class_counts_of(ds.labels[idx], ds.c), 0, None)]
     while work:
         node_rows, node_weights, counts, depth, parent = work.pop()
         if parent is not None:
-            i, sp, pc, pg = parent
-            nodes[i] = Internal(
-                sp.feature, sp.threshold, i + 1, len(nodes), pc.total, pg, pc.counts
-            )
+            i, sp, n_samples, pg, pc = parent
+            nodes[i] = Internal(sp.feature, sp.threshold, i + 1, len(nodes), n_samples, pg, pc)
         g = gini(counts)
-        total = counts.total
+        total = sum(counts)
         if (
-            max(counts.counts) == total
+            max(counts) == total
             or (cfg.max_depth is not None and depth >= cfg.max_depth)
             or (cfg.node_size_semantics is NodeSizeSemantics.MIN_SPLIT and total < cfg.min_node_size)
         ):
-            nodes.append(Leaf(total, counts.counts, g))
+            nodes.append(Leaf(total, counts, g))
             continue
 
         # The first mtry entries of the node's permutation, as draw_candidates.
         candidates = permute(next(partner_rows))[:mtry]
         sp = best_split(ds, node_rows, candidates, counts, cfg, node_weights)
         if sp is None:
-            nodes.append(Leaf(total, counts.counts, g))
+            nodes.append(Leaf(total, counts, g))
             continue
 
         mask = ds.features[node_rows, sp.feature] <= sp.threshold
         # LIFO: the left child lands on top so it is grown first, right
         # after its parent's slot.
-        parent = (len(nodes), sp, counts, g)
+        parent = (len(nodes), sp, total, g, counts)
         work.append((node_rows[~mask], node_weights[~mask], sp.right_counts, depth + 1, parent))
         work.append((node_rows[mask], node_weights[mask], sp.left_counts, depth + 1, None))
         nodes.append(None)

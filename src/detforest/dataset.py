@@ -53,6 +53,8 @@ class Dataset:
             raise ValueError(f"labels must have shape ({self.n},), got {self.labels.shape}")
         if len(self.feature_names) != self.p:
             raise ValueError("feature_names length must match feature count")
+        if self.p == 0:
+            raise ValueError("dataset has no feature column")
         if self.n == 0:
             raise ValueError("dataset must contain at least one row")
         bad = ~np.isfinite(self.features)
@@ -112,8 +114,10 @@ def _read_header(reader, path: str, label_column: str) -> tuple[list[str], int]:
         header = next(reader)
     except StopIteration:
         raise ValueError(f"{path!r} is empty, expected a header row") from None
-    if label_column not in header:
-        raise ValueError(f"label column {label_column!r} not in header {header}")
+    count = header.count(label_column)
+    if count != 1:
+        where = "not in" if count == 0 else f"appears {count} times in"
+        raise ValueError(f"label column {label_column!r} {where} header {header}")
     return header, header.index(label_column)
 
 

@@ -29,7 +29,6 @@ from pathlib import Path
 import numpy as np
 
 from .cart import (
-    ClassCounts,
     DecisionTree,
     Internal,
     Leaf,
@@ -347,7 +346,7 @@ def _tree_from_doc(doc: dict, n_features: int, n_classes: int) -> DecisionTree:
         g = _float(nd["gini"], f"node {i} gini")
         if len(counts) != n_classes or total < 1 or sum(counts) != total or min(counts) < 0:
             raise ValueError(f"node {i} has n_samples {total} and class counts {list(counts)}")
-        if g != gini(ClassCounts(counts)):
+        if g != gini(counts):
             raise ValueError(f"node {i} stores gini {g!r}, not the gini of its class counts")
         if "feature" not in nd:
             nodes.append(Leaf(total, counts, g))

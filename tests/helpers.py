@@ -9,7 +9,6 @@ import numpy as np
 
 from detforest import (
     TIE_TOL,
-    ClassCounts,
     Dataset,
     DecisionTree,
     Internal,
@@ -54,7 +53,7 @@ def tiny_dataset(columns: list[list[float]], labels: list[int]) -> Dataset:
 
 
 def exhaustive_split_oracle(
-    ds: Dataset, row_indices: np.ndarray, parent: ClassCounts
+    ds: Dataset, row_indices: np.ndarray, parent: tuple[int, ...]
 ) -> list[Split]:
     """Brute-force reference for best_split, deliberately kept naive.
 
@@ -84,7 +83,7 @@ def exhaustive_split_oracle(
             gr_acc = 0.0
             for k in range(c):
                 pl = left[k] / nl
-                pr = (parent.counts[k] - left[k]) / nr
+                pr = (parent[k] - left[k]) / nr
                 gl_acc += pl * pl
                 gr_acc += pr * pr
             weighted = (nl * (1.0 - gl_acc) + nr * (1.0 - gr_acc)) / n
@@ -95,8 +94,8 @@ def exhaustive_split_oracle(
                 threshold = pairs[j][0] / 2.0 + pairs[j + 1][0] / 2.0
             if threshold == pairs[j + 1][0]:
                 threshold = pairs[j][0]
-            lc = ClassCounts(tuple(left))
-            rc = ClassCounts(tuple(p - l for p, l in zip(parent.counts, left)))
+            lc = tuple(left)
+            rc = tuple(p - l for p, l in zip(parent, left))
             found.append(
                 (
                     weighted,
@@ -158,25 +157,25 @@ def reference_grow_tree(
                 threshold=sp.threshold,
                 left=i + 1,
                 right=len(nodes),
-                n_samples=parent_counts.total,
+                n_samples=sum(parent_counts),
                 gini=parent_gini,
-                class_counts=parent_counts.counts,
+                class_counts=parent_counts,
             )
         counts = class_counts_of(ds.labels[node_idx], ds.c)
         g = gini(counts)
-        total = counts.total
+        total = sum(counts)
         if (
-            max(counts.counts) == total
+            max(counts) == total
             or (cfg.max_depth is not None and depth >= cfg.max_depth)
             or (cfg.node_size_semantics is NodeSizeSemantics.MIN_SPLIT and total < cfg.min_node_size)
         ):
-            nodes.append(Leaf(total, counts.counts, g))
+            nodes.append(Leaf(total, counts, g))
             continue
 
         candidates, rng = draw_candidates(rng, ds.p, mtry)
         sp = best_split(ds, node_idx, candidates, counts, cfg)
         if sp is None:
-            nodes.append(Leaf(total, counts.counts, g))
+            nodes.append(Leaf(total, counts, g))
             continue
 
         mask = ds.features[node_idx, sp.feature] <= sp.threshold
@@ -273,7 +272,7 @@ def reference_best_split(
     ds: Dataset,
     row_indices: np.ndarray,
     candidates: list[int],
-    parent: ClassCounts,
+    parent: tuple[int, ...],
     cfg: ForestConfig,
     weights: np.ndarray | None = None,
 ) -> Split | None:
@@ -324,7 +323,7 @@ def reference_best_split(
     if w is not None and w.max() == 1.0:
         w = None  # every row counts once: the cheaper unweighted scan
     parent_gini = gini(parent)
-    total = parent.total
+    total = sum(parent)
     y = ds.labels[idx]
     min_leaf = cfg.min_node_size if cfg.node_size_semantics is NodeSizeSemantics.MIN_LEAF else 1
 
@@ -333,7 +332,7 @@ def reference_best_split(
     # Left sizes at the boundaries of every column, unless rows are weighted.
     nl = np.arange(1.0, n)[:, None]
     classes = np.arange(ds.c)[:, None, None]
-    totals = np.array(parent.counts, dtype=np.float64)[:, None, None]
+    totals = np.array(parent, dtype=np.float64)[:, None, None]
     # Weighted child impurity per (boundary, candidate); inf where inadmissible.
     weighted_all = np.empty((n - 1, cols.size))
     step = max(1, BLOCK_CELLS // (ds.c * n))
@@ -397,12 +396,12 @@ def reference_best_split(
     threshold = _midpoint(float(xs[j]), float(xs[j + 1]))
     weighted_value = float(weighted_all[j, col])
     left = tuple(int(v) for v in left_counts.tolist())
-    right = tuple(total_k - left_k for total_k, left_k in zip(parent.counts, left))
+    right = tuple(total_k - left_k for total_k, left_k in zip(parent, left))
     return Split(
         feature=f,
         threshold=threshold,
-        left_counts=ClassCounts(left),
-        right_counts=ClassCounts(right),
+        left_counts=left,
+        right_counts=right,
         weighted_child_impurity=weighted_value,
         impurity_decrease=parent_gini - weighted_value,
     )

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from detforest import (
-    ClassCounts,
     Dataset,
     ForestConfig,
     NodeSizeSemantics,
@@ -89,16 +88,16 @@ def _full50():
 
 def test_criterion_1_gini_examples_and_range(capfd):
     with capfd.disabled(), criterion(1, "gini examples exact, fuzzed range bound", 1.0):
-        assert abs(gini(ClassCounts((5, 5))) - 0.5) <= 1e-15
-        assert abs(gini(ClassCounts((10, 0))) - 0.0) <= 1e-15
-        assert abs(gini(ClassCounts((1, 1, 1))) - 2.0 / 3.0) <= 1e-15
+        assert abs(gini((5, 5)) - 0.5) <= 1e-15
+        assert abs(gini((10, 0)) - 0.0) <= 1e-15
+        assert abs(gini((1, 1, 1)) - 2.0 / 3.0) <= 1e-15
         for k in range(2000):
             rng = np.random.default_rng(k)
             c = int(rng.integers(2, 7))
             counts = tuple(int(v) for v in rng.integers(0, 10_001, size=c))
             if sum(counts) == 0:
                 counts = counts[:-1] + (1,)
-            g = gini(ClassCounts(counts))
+            g = gini(counts)
             assert 0.0 <= g <= 1.0 - 1.0 / c
 
 

@@ -11,14 +11,18 @@ from hypothesis import strategies as st
 
 from detforest import (
     Aggregation,
-    ClassCounts,
     Dataset,
     ForestConfig,
     NodeSizeSemantics,
     TieBreak,
     derive_stream,
+    fit,
+    forest_from_json,
+    forest_to_json,
+    generate_synthetic_formulas,
     gini,
     grow_tree,
+    train_test_split,
 )
 from detforest.cart import (
     BLOCK_CELLS,
@@ -51,16 +55,16 @@ from helpers import (
 
 class TestGini:
     def test_balanced_two_classes(self):
-        assert abs(gini(ClassCounts((5, 5))) - 0.5) <= 1e-15
+        assert abs(gini((5, 5)) - 0.5) <= 1e-15
 
     def test_pure_node(self):
-        assert abs(gini(ClassCounts((10, 0))) - 0.0) <= 1e-15
+        assert abs(gini((10, 0)) - 0.0) <= 1e-15
 
     def test_balanced_three_classes(self):
-        assert abs(gini(ClassCounts((1, 1, 1))) - 2.0 / 3.0) <= 1e-15
+        assert abs(gini((1, 1, 1)) - 2.0 / 3.0) <= 1e-15
 
     def test_empty_node_is_zero(self):
-        assert gini(ClassCounts((0, 0))) == 0.0
+        assert gini((0, 0)) == 0.0
 
     @given(
         counts=st.lists(
@@ -69,7 +73,7 @@ class TestGini:
     )
     def test_range_bound(self, counts):
         c = len(counts)
-        g = gini(ClassCounts(tuple(counts)))
+        g = gini(tuple(counts))
         assert 0.0 <= g <= 1.0 - 1.0 / c + 1e-12
 
     @given(
@@ -80,20 +84,41 @@ class TestGini:
     def test_permutation_invariant_up_to_float_order(self, counts):
         # Accumulation is sequential in class order, so permuting counts can
         # move bits; the value itself must agree to float tolerance.
-        g1 = gini(ClassCounts(tuple(counts)))
-        g2 = gini(ClassCounts(tuple(reversed(counts))))
+        g1 = gini(tuple(counts))
+        g2 = gini(tuple(reversed(counts)))
         assert g1 == pytest.approx(g2, abs=1e-12)
 
 
 class TestClassCounts:
     def test_class_counts_of(self):
         cc = class_counts_of(np.array([0, 2, 2, 1, 2]), 4)
-        assert cc.counts == (1, 1, 3, 0)
-        assert cc.total == 5
+        assert cc == (1, 1, 3, 0)
 
     def test_minlength_pads_absent_classes(self):
         cc = class_counts_of(np.array([0, 0]), 3)
-        assert cc.counts == (2, 0, 0)
+        assert cc == (2, 0, 0)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_counts_are_tuples_of_python_ints(self, weighted):
+        # json.dumps rejects numpy integers, so no count may be one: not in
+        # class_counts_of, a Split, a grown tree or a loaded forest.
+        ds = generate_synthetic_formulas(80, 5, 3)
+
+        def check(counts):
+            assert type(counts) is tuple and len(counts) == ds.c
+            assert all(type(v) is int for v in counts)
+
+        rows = np.arange(ds.n)
+        weights = np.random.default_rng(0).integers(1, 4, size=ds.n) if weighted else None
+        parent = class_counts_of(ds.labels[np.repeat(rows, 1 if weights is None else weights)], ds.c)
+        check(parent)
+        sp = best_split(ds, rows, list(range(ds.p)), parent, _grow_cfg(mtry=ds.p), weights)
+        check(sp.left_counts)
+        check(sp.right_counts)
+        f = fit(ds, train_test_split(ds, 0.75, 0), ForestConfig(n_trees=2, bootstrap=weighted))
+        for tree in f.trees + forest_from_json(forest_to_json(f)).trees:
+            for node in tree.nodes:
+                check(node.class_counts)
 
 
 class TestMidpoints:
@@ -185,8 +210,8 @@ class TestBestSplit:
         assert sp is not None
         assert sp.feature == 0
         assert sp.threshold == 2.5
-        assert sp.left_counts.counts == (2, 0)
-        assert sp.right_counts.counts == (0, 2)
+        assert sp.left_counts == (2, 0)
+        assert sp.right_counts == (0, 2)
         assert sp.weighted_child_impurity == 0.0
         assert sp.impurity_decrease == pytest.approx(0.5, abs=1e-15)
         # and it is the unique oracle optimum
@@ -218,8 +243,8 @@ class TestBestSplit:
         sp = best_split(ds, np.arange(4), [0], parent, cfg)
         assert sp is not None
         assert sp.threshold == 2.5
-        assert sp.left_counts.counts == (1, 1)
-        assert sp.right_counts.counts == (0, 2)
+        assert sp.left_counts == (1, 1)
+        assert sp.right_counts == (0, 2)
         assert sp.weighted_child_impurity == pytest.approx(0.25, abs=1e-15)
         assert gini(parent) == pytest.approx(0.375, abs=1e-15)
 
@@ -290,7 +315,7 @@ class TestBestSplit:
 
     def test_empty_rows_rejected(self):
         ds = tiny_dataset([[1.0, 2.0]], [0, 1])
-        parent = ClassCounts((0, 0))
+        parent = (0, 0)
         with pytest.raises(ValueError):
             best_split(ds, np.array([], dtype=np.intp), [0], parent, _grow_cfg())
 
@@ -444,9 +469,7 @@ class TestBestSplitMatchesReference:
         else:
             counts = st.lists(st.integers(1, 4), min_size=rows.size, max_size=rows.size)
             weights = np.array(data.draw(counts, label="counts"), dtype=np.float64)
-        parent = ClassCounts(
-            tuple(int(v) for v in np.bincount(ds.labels[rows], weights=weights, minlength=ds.c))
-        )
+        parent = tuple(int(v) for v in np.bincount(ds.labels[rows], weights=weights, minlength=ds.c))
         order = data.draw(st.permutations(range(ds.p)), label="draw order")
         candidates = order[: data.draw(st.integers(1, ds.p), label="mtry")]
         cfg = ForestConfig(
@@ -474,15 +497,15 @@ class TestBestSplitMatchesReference:
         ds = tiny_dataset([[1.0, 0.0, 1.0, 1.0], [1.0, 0.0, 0.0, 1.0]], [0, 1, 1, 1])
         rows = np.arange(4)
         weights = np.array([big, 1, 1, 1], dtype=np.float64)
-        parent = ClassCounts((big, 3))
+        parent = (big, 3)
         assert best_split(ds, rows, [0], parent, _grow_cfg(), weights) is None
-        feature_0 = (big + 2) * gini(ClassCounts((big, 2))) / (big + 3)
+        feature_0 = (big + 2) * gini((big, 2)) / (big + 3)
         assert feature_0 >= gini(parent) - TIE_TOL
         for tb in TieBreak:
             cfg = _grow_cfg(mtry=2, tie_break=tb)
             got = best_split(ds, rows, [0, 1], parent, cfg, weights)
             assert got == reference_best_split(ds, rows, [0, 1], parent, cfg, weights)
-            assert (got.feature, got.left_counts) == (1, ClassCounts((0, 2)))
+            assert (got.feature, got.left_counts) == (1, (0, 2))
             assert got.weighted_child_impurity < feature_0 <= got.weighted_child_impurity + TIE_TOL
 
 

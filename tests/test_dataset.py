@@ -60,6 +60,10 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), ["a", "b"])
 
+    def test_no_feature_column_rejected(self):
+        with pytest.raises(ValueError, match="no feature column"):
+            Dataset(np.empty((2, 0)), np.array([0, 1]), [])
+
     def test_composition_flag_requires_row_sums(self):
         feats = np.array([[40.0, 60.0], [30.0, 70.0]])
         ds = Dataset(feats, np.array([0, 1]), ["a", "b"], composition=True)

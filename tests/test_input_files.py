@@ -1,4 +1,4 @@
-"""Config and split files: each either loads valid or raises ValueError.
+"""Config, split and data files: each either loads valid or raises ValueError.
 
 Like the forest loader tests in tests/test_loader.py, these mutate one
 field, line or character of a valid file and require either a valid result
@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import detforest
-from detforest import ForestConfig, NodeSizeSemantics, TieBreak, generate_synthetic_formulas, save_csv
+from detforest import ForestConfig, NodeSizeSemantics, TieBreak, generate_synthetic_formulas, load_csv, save_csv
 from detforest.cli import SPLIT_SCHEMA, _read_split_file, main, parse_config_text, render_config
 from detforest.prng import TRIAL_STREAM
 
@@ -244,3 +244,32 @@ def test_deeply_nested_forest_config_exits_2(tmp_path):
     proc = _run_cli(["export-tree", "--forest", path])
     _assert_clean_exit_2(proc)
     assert proc.stdout == ""
+
+
+# --------------------------------------------------------------------------
+# Data files
+
+# (name, file text, a fragment of the error message); the quoted cell sends
+# its file through the per-cell loop instead of numpy's reader.
+BAD_CSV_CASES = [
+    ("duplicate-label", "x,label,label\n1,0,0\n2,1,1\n", "'label' appears 2 times in header"),
+    ("duplicate-label-quoted-cell", 'label,x,label,label\n0,"1",0,0\n1,2,1,1\n', "'label' appears 3 times in header"),
+    ("label-only", "label\n0\n1\n", "no feature column"),
+]
+
+
+@pytest.mark.parametrize("text, message", [c[1:] for c in BAD_CSV_CASES], ids=[c[0] for c in BAD_CSV_CASES])
+def test_bad_data_file_exits_2(tmp_path, text, message):
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        load_csv(path, "label")
+    for argv in (
+        ["split", "--data", path, "--out", tmp_path / "split.json"],
+        ["run", "--preset", "table3", "--data", path, "--out-dir", tmp_path / "out"],
+    ):
+        proc = _run_cli(argv)
+        _assert_clean_exit_2(proc)
+        assert message in proc.stderr
+        assert proc.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]

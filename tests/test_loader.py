@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 import detforest
 from detforest import (
-    ClassCounts,
     ForestConfig,
     Internal,
     fit,
@@ -106,7 +105,7 @@ def assert_valid_forest(forest: detforest.Forest) -> None:
             counts = node.class_counts
             assert len(counts) == forest.n_classes and min(counts) >= 0
             assert node.n_samples == sum(counts) >= 1
-            assert node.gini == gini(ClassCounts(counts))
+            assert node.gini == gini(counts)
             if isinstance(node, Internal):
                 assert node.left == k + 1
                 left, right = nodes[node.left], nodes[node.right]
@@ -142,7 +141,7 @@ def test_one_mutated_field_loads_valid_or_raises_value_error(path, mutation):
 # Hand-built one-tree documents, each wrong in one way:
 # (name, nodes, a fragment of the error message).
 def _leaf(counts):
-    return {"n_samples": sum(counts), "class_counts": counts, "gini": gini(ClassCounts(tuple(counts)))}
+    return {"n_samples": sum(counts), "class_counts": counts, "gini": gini(tuple(counts))}
 
 
 def _split(counts, left, right):
