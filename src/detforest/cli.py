@@ -420,6 +420,8 @@ def run_trials(
     """Fit cfg once per trial, each on its own seed from _trial_seeds(cfg.seed,
     trials), and compare the forests: tree tallies against the first tree,
     and, for two or more trials, their divergence on split.test."""
+    if type(trials) is not int:
+        raise ValueError(f"--trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError(f"--trials must be >= 1, got {trials}")
     seeds = tuple(_trial_seeds(cfg.seed, trials))

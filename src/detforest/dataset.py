@@ -237,7 +237,13 @@ def _map_labels(raw: list[str]) -> np.ndarray:
 
 
 def save_csv(ds: Dataset, path: str, label_column: str = "label") -> None:
-    """Write a dataset as CSV; floats use repr so a reload is bit-identical."""
+    """Write a dataset as CSV; floats use repr so a reload is bit-identical.
+
+    A label column named like a feature raises ValueError before the file
+    is opened, since load_csv could not tell them apart.
+    """
+    if label_column in ds.feature_names:
+        raise ValueError(f"label column {label_column!r} is also a feature name")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         # Names may need quoting; float reprs and integer labels never do.
         # Rows become Python floats one at a time, which keeps the peak

@@ -190,44 +190,23 @@ def fit(ds: Dataset, split: SplitIndices, cfg: ForestConfig, n_workers: int = 1)
     return Forest(trees=tuple(trees), config=cfg, n_features=ds.p, n_classes=ds.c)
 
 
-def _check_features(features: np.ndarray) -> None:
-    bad = ~np.isfinite(features)
+def _check_matrix(f: Forest, features) -> np.ndarray:
+    """features as a float64 (n, f.n_features) matrix of finite values, else ValueError.
+
+    Only integer and float dtypes pass: numpy would drop an imaginary part,
+    parse strings and read bools as 0 and 1.
+    """
+    x = np.asarray(features)
+    if x.dtype.kind not in "iuf":
+        raise ValueError(f"features must be integers or floats, got dtype {x.dtype}")
+    if x.ndim != 2 or x.shape[1] != f.n_features:
+        raise ValueError(f"expected a 2-D matrix with {f.n_features} columns, got shape {x.shape}")
+    x = x.astype(np.float64, copy=False)
+    bad = ~np.isfinite(x)
     if bad.any():
         r, col = np.argwhere(bad)[0]
-        raise ValueError(f"non-finite feature value {features[r, col]!r} at row {r}, column {col}")
-
-
-def _check_sample(f: Forest, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (f.n_features,):
-        raise ValueError(f"expected {f.n_features} features, got shape {x.shape}")
-    _check_features(x[None, :])
+        raise ValueError(f"non-finite feature value {x[r, col]!r} at row {r}, column {col}")
     return x
-
-
-def predict_majority(f: Forest, x: np.ndarray) -> int:
-    """Each tree votes the argmax of its leaf distribution; plurality wins.
-
-    Both the per-leaf argmax and the final vote break exact ties toward
-    the lowest class id.
-    """
-    return predict_class(f, x, Aggregation.MAJORITY_VOTE)
-
-
-def predict_proba(f: Forest, x: np.ndarray) -> np.ndarray:
-    """Mean of the leaf class distributions, accumulated in tree order."""
-    return _scores(f, _check_sample(f, x)[None, :], Aggregation.MEAN_PROBABILITY)[0]
-
-
-def predict_argmax_proba(f: Forest, x: np.ndarray) -> int:
-    """Argmax of the mean probabilities; exact ties go to the lowest class id."""
-    return predict_class(f, x, Aggregation.MEAN_PROBABILITY)
-
-
-def predict_class(f: Forest, x: np.ndarray, aggregation: Aggregation | None = None) -> int:
-    """Predict one class id using the given (or the configured) aggregation."""
-    agg = _aggregation(f, aggregation)
-    return int(np.argmax(_scores(f, _check_sample(f, x)[None, :], agg)[0]))
 
 
 def _aggregation(f: Forest, aggregation: Aggregation | None) -> Aggregation:
@@ -282,18 +261,16 @@ def _scores(f: Forest, features: np.ndarray, agg: Aggregation) -> np.ndarray:
 def predict_classes(
     f: Forest, features: np.ndarray, aggregation: Aggregation | None = None
 ) -> list[int]:
-    """Predict a class id per row of a 2-D feature matrix.
+    """Predict a class id per row of a 2-D feature matrix, using the given
+    (or the configured) aggregation; exact ties go to the lowest class id."""
+    scores = _scores(f, _check_matrix(f, features), _aggregation(f, aggregation))
+    return np.argmax(scores, axis=1).tolist()
 
-    The same ids as predict_class row by row: all rows go through each tree
-    at once, and the scores are the same floats in the same order.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != f.n_features:
-        raise ValueError(
-            f"expected a 2-D matrix with {f.n_features} columns, got shape {features.shape}"
-        )
-    _check_features(features)
-    return np.argmax(_scores(f, features, _aggregation(f, aggregation)), axis=1).tolist()
+
+def predict_proba(f: Forest, features: np.ndarray) -> np.ndarray:
+    """The (n, c) mean leaf class distributions of a 2-D feature matrix,
+    accumulated in tree order."""
+    return _scores(f, _check_matrix(f, features), Aggregation.MEAN_PROBABILITY)
 
 
 def accuracy(

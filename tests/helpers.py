@@ -26,7 +26,7 @@ from detforest import (
 from detforest.cart import BLOCK_CELLS, TieBreak, _midpoint
 from detforest.cli import _CONFIG_HEADER, ConfigError
 from detforest.dataset import _map_labels
-from detforest.forest import MTRY_ALL, Aggregation, Forest, ForestConfig, _check_sample
+from detforest.forest import MTRY_ALL, Aggregation, Forest, ForestConfig
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -195,13 +195,12 @@ def argmax_lowest(values) -> int:
     return best
 
 
-def reference_predict_majority(f: Forest, x: np.ndarray) -> int:
-    """predict_majority as it was before one-row calls went through the batched scorer.
+def reference_predict_vote(f: Forest, x: np.ndarray) -> int:
+    """One row's majority vote, the per-row reference for predict_classes.
 
     Each tree's leaf is found with predict_leaf; both the per-leaf argmax
     and the final vote break exact ties toward the lowest class id.
     """
-    x = _check_sample(f, x)
     votes = [0] * f.n_classes
     for tree in f.trees:
         leaf = predict_leaf(tree, x)
@@ -210,8 +209,8 @@ def reference_predict_majority(f: Forest, x: np.ndarray) -> int:
 
 
 def reference_predict_proba(f: Forest, x: np.ndarray) -> np.ndarray:
-    """predict_proba as it was: leaf distributions summed in tree order, per row."""
-    x = _check_sample(f, x)
+    """One row's mean leaf distribution, the per-row reference for
+    predict_proba: leaf distributions summed in tree order."""
     acc = np.zeros(f.n_classes)
     for tree in f.trees:
         acc = acc + np.asarray(predict_leaf(tree, x).class_distribution)

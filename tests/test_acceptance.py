@@ -18,7 +18,9 @@ import numpy as np
 import pytest
 
 from detforest import (
+    Aggregation,
     Dataset,
+    Forest,
     ForestConfig,
     NodeSizeSemantics,
     TieBreak,
@@ -30,6 +32,7 @@ from detforest import (
     generate_synthetic_formulas,
     gini,
     grow_tree,
+    predict_classes,
     train_test_split,
 )
 from detforest.cart import (
@@ -41,7 +44,6 @@ from detforest.cart import (
     trees_equal_exact,
 )
 from detforest.cli import PRESETS
-from detforest.forest import predict_argmax_proba, predict_majority
 
 from helpers import duplicated_feature_dataset, exhaustive_split_oracle
 
@@ -223,6 +225,13 @@ def test_criterion_5_node_size_semantics_shape_shallow_trees(capfd):
         assert canonicalize(fig1) != canonicalize(fig2)
 
 
+def _disagreements(forest: Forest, rows: np.ndarray) -> int:
+    """How many rows majority vote and mean probability classify differently."""
+    votes = predict_classes(forest, rows, Aggregation.MAJORITY_VOTE)
+    means = predict_classes(forest, rows, Aggregation.MEAN_PROBABILITY)
+    return sum(v != m for v, m in zip(votes, means))
+
+
 def test_criterion_6_aggregation_modes_can_disagree(capfd):
     with capfd.disabled(), criterion(6, "vote vs mean-probability disagreement", 120.0):
         ds, split = _desk()
@@ -231,23 +240,13 @@ def test_criterion_6_aggregation_modes_can_disagree(capfd):
         depth5 = fit(
             ds, split, ForestConfig(n_trees=50, max_depth=5, seed=0), n_workers=4
         )
-        disagree = sum(
-            1
-            for r in test_rows
-            if predict_majority(depth5, ds.features[r])
-            != predict_argmax_proba(depth5, ds.features[r])
-        )
+        disagree = _disagreements(depth5, ds.features[test_rows])
         assert disagree >= 1, "impure leaves must produce >= 1 disagreement"
         assert disagree == 45  # pinned for seed 0
 
         full = _full50()
-        agree = sum(
-            1
-            for r in test_rows
-            if predict_majority(full, ds.features[r])
-            == predict_argmax_proba(full, ds.features[r])
-        )
-        assert agree == len(test_rows), (
+        agree = len(test_rows) - _disagreements(full, ds.features[test_rows])
+        assert agree == len(test_rows) == 920, (
             f"pure leaves must agree everywhere, got {agree}/{len(test_rows)}"
         )
 

@@ -18,6 +18,7 @@ from detforest import (
     forest_divergence,
     generate_synthetic_formulas,
     grow_tree,
+    predict_classes,
     train_test_split,
     trees_equal_canonical,
 )
@@ -208,9 +209,7 @@ class TestForestDivergence:
         )
         assert votes.pair("x", "y").n_divergent == 0
         # Same forest under two aggregation modes CAN disagree; check the
-        # report against a direct per-row comparison.
-        from detforest import predict_argmax_proba, predict_majority
-
+        # report against a direct comparison of the two modes' predictions.
         fv = Forest(
             trees=f.trees,
             config=ForestConfig(
@@ -221,11 +220,10 @@ class TestForestDivergence:
             n_classes=f.n_classes,
         )
         report = forest_divergence([("vote", fv), ("mean", f)], fx.ds, rows=fx.split.test)
-        expected = [
-            r for r in fx.split.test
-            if predict_majority(f, fx.ds.features[r])
-            != predict_argmax_proba(f, fx.ds.features[r])
-        ]
+        rows = fx.ds.features[list(fx.split.test)]
+        votes = predict_classes(f, rows, Aggregation.MAJORITY_VOTE)
+        means = predict_classes(f, rows, Aggregation.MEAN_PROBABILITY)
+        expected = [r for r, v, m in zip(fx.split.test, votes, means) if v != m]
         assert list(report.pair("vote", "mean").rows) == expected
 
     def test_matrix_symmetric_zero_diagonal(self, fx):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -518,6 +519,14 @@ class TestRunTrials:
         ds = generate_synthetic_formulas(60, 4, 0)
         split = train_test_split(ds, 0.8, 0)
         with pytest.raises(ValueError, match="--trials must be >= 1"):
+            run_trials(ds, split, ForestConfig(n_trees=1), trials)
+
+    @pytest.mark.parametrize("trials", [True, 2.0, np.int64(2), "2"])
+    def test_non_int_trials_rejected(self, trials):
+        # True once ran one trial, and 2.0 failed deep in the PRNG with a TypeError.
+        ds = generate_synthetic_formulas(60, 4, 0)
+        split = train_test_split(ds, 0.8, 0)
+        with pytest.raises(ValueError, match="--trials must be an integer"):
             run_trials(ds, split, ForestConfig(n_trees=1), trials)
 
 

@@ -122,6 +122,14 @@ class TestCsvRoundTrip:
         assert back.feature_names == ds.feature_names
         assert back.features.tolist() == [[5e-324, 1e308]]
 
+    def test_label_column_named_like_a_feature_rejected(self, tmp_path):
+        # load_csv would refuse the file: the label column would appear twice.
+        ds = generate_synthetic_formulas(5, 4, 0)
+        path = tmp_path / "data.csv"
+        with pytest.raises(ValueError, match="label column 'x0' is also a feature name"):
+            save_csv(ds, path, label_column="x0")
+        assert not path.exists()
+
     def test_round_trip_bit_identical(self, tmp_path):
         rows = 37
         ds = generate_synthetic_formulas(rows, 5, 123)

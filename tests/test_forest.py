@@ -23,9 +23,7 @@ from detforest import (
     forest_divergence,
     generate_synthetic_formulas,
     load_forest,
-    predict_class,
     predict_classes,
-    predict_majority,
     predict_proba,
     save_forest,
     train_test_split,
@@ -35,7 +33,6 @@ from detforest.forest import (
     bootstrap_sample,
     forest_from_doc,
     forest_to_doc,
-    predict_argmax_proba,
 )
 from detforest.prng import TRIAL_STREAM, bounded_uint, shuffle
 
@@ -44,7 +41,7 @@ from helpers import (
     MASK64,
     argmax_lowest,
     duplicated_feature_dataset,
-    reference_predict_majority,
+    reference_predict_vote,
     reference_predict_proba,
     state_with_draw,
     tiny_dataset,
@@ -417,47 +414,48 @@ def _leaf_forest(leaf_counts: list[tuple[int, ...]], n_classes: int,
     return Forest(trees=trees, config=cfg, n_features=1, n_classes=n_classes)
 
 
-X = np.array([0.0])
+X = np.array([[0.0]])
+VOTE, MEAN = Aggregation.MAJORITY_VOTE, Aggregation.MEAN_PROBABILITY
 
 
 class TestAggregation:
     def test_majority_plain(self):
         f = _leaf_forest([(1, 0), (1, 0), (0, 1)], 2)
-        assert predict_majority(f, X) == 0
+        assert predict_classes(f, X, VOTE) == [0]
 
     def test_majority_tie_goes_to_lowest_class(self):
         f = _leaf_forest([(0, 1), (1, 0)], 2)
-        assert predict_majority(f, X) == 0
+        assert predict_classes(f, X, VOTE) == [0]
         f = _leaf_forest([(0, 0, 1), (0, 1, 0)], 3)
-        assert predict_majority(f, X) == 1
+        assert predict_classes(f, X, VOTE) == [1]
 
     def test_mean_probability_tie_goes_to_lowest_class(self):
         f = _leaf_forest([(1, 0, 0), (0, 1, 0)], 3)
         probs = predict_proba(f, X)
-        assert probs.tolist() == [0.5, 0.5, 0.0]
-        assert predict_argmax_proba(f, X) == 0
+        assert probs.tolist() == [[0.5, 0.5, 0.0]]
+        assert predict_classes(f, X, MEAN) == [0]
 
     def test_mean_probability_uses_distributions_not_votes(self):
         # Vote winner is class 1 (two leaves lean 1), but the probability
         # mass favors class 0.
         f = _leaf_forest([(9, 1), (4, 6), (4, 6)], 2)
-        assert predict_majority(f, X) == 1
-        assert predict_argmax_proba(f, X) == 0
+        assert predict_classes(f, X, VOTE) == [1]
+        assert predict_classes(f, X, MEAN) == [0]
 
     def test_single_tree_forest(self):
         f = _leaf_forest([(3, 1)], 2)
-        assert predict_majority(f, X) == 0
-        assert predict_proba(f, X).tolist() == [0.75, 0.25]
+        assert predict_classes(f, X, VOTE) == [0]
+        assert predict_proba(f, X).tolist() == [[0.75, 0.25]]
 
     def test_predict_class_respects_configured_aggregation(self):
         leaves = [(9, 1), (4, 6), (4, 6)]
-        fv = _leaf_forest(leaves, 2, aggregation=Aggregation.MAJORITY_VOTE)
-        fp = _leaf_forest(leaves, 2, aggregation=Aggregation.MEAN_PROBABILITY)
-        assert predict_class(fv, X) == 1
-        assert predict_class(fp, X) == 0
+        fv = _leaf_forest(leaves, 2, aggregation=VOTE)
+        fp = _leaf_forest(leaves, 2, aggregation=MEAN)
+        assert predict_classes(fv, X) == [1]
+        assert predict_classes(fp, X) == [0]
         # explicit override beats the configured default
-        assert predict_class(fv, X, Aggregation.MEAN_PROBABILITY) == 0
-        assert predict_class(fp, X, Aggregation.MAJORITY_VOTE) == 1
+        assert predict_classes(fv, X, MEAN) == [0]
+        assert predict_classes(fp, X, VOTE) == [1]
 
     @pytest.mark.parametrize("aggregation", ["majority-vote", "mean-probability", 1])
     def test_aggregation_must_be_an_enum_member(self, aggregation):
@@ -465,8 +463,7 @@ class TestAggregation:
         f = _leaf_forest([(9, 1), (4, 6), (4, 6)], 2)
         ds = tiny_dataset([[0.0, 1.0]], [0, 1])
         calls = [
-            lambda: predict_class(f, X, aggregation),
-            lambda: predict_classes(f, X[None, :], aggregation),
+            lambda: predict_classes(f, X, aggregation),
             lambda: accuracy(f, ds, [0, 1], aggregation),
             lambda: forest_divergence([("a", f), ("b", f)], ds, aggregation=aggregation),
         ]
@@ -478,10 +475,10 @@ class TestAggregation:
         ds = generate_synthetic_formulas(80, 4, 2)
         split = train_test_split(ds, 0.75, 2)
         f = fit(ds, split, ForestConfig(n_trees=7, seed=2))
-        for i in split.test[:10]:
-            probs = predict_proba(f, ds.features[i])
-            assert probs.sum() == pytest.approx(1.0, abs=1e-9)
-            assert (probs >= 0).all()
+        probs = predict_proba(f, ds.features[list(split.test[:10])])
+        assert probs.shape == (10, f.n_classes)
+        assert probs.sum(axis=1) == pytest.approx(np.ones(10), abs=1e-9)
+        assert (probs >= 0).all()
 
     def test_argmax_lowest(self):
         assert argmax_lowest([1, 3, 3]) == 1
@@ -490,14 +487,40 @@ class TestAggregation:
 
     def test_dimension_errors(self):
         f = _leaf_forest([(1, 0)], 2)
-        with pytest.raises(ValueError):
-            predict_majority(f, np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            predict_proba(f, np.array([[1.0]]))
-        with pytest.raises(ValueError):
-            predict_classes(f, np.array([1.0]))
-        with pytest.raises(ValueError):
-            predict_classes(f, np.zeros((2, 3)))
+        for shape in [(1,), (2,), (1, 2), (2, 3), (1, 1, 1), ()]:
+            for predict in (predict_classes, predict_proba):
+                with pytest.raises(ValueError, match="2-D matrix with 1 columns"):
+                    predict(f, np.zeros(shape))
+
+    @pytest.mark.parametrize("features", [
+        np.array([[1.0 + 0j]]),
+        np.array([[1.0]]).astype(complex) + 5j,
+        [[1 + 2j]],
+        np.array([["1"]]),
+        [["1.5"]],
+        np.array([[1.0]], dtype=object),
+        np.array([[True]]),
+        [[False]],
+    ], ids=["complex-real", "complex", "complex-list", "str", "str-list", "object", "bool",
+            "bool-list"])
+    def test_non_real_input_rejected(self, features):
+        # numpy would drop the imaginary part, parse the strings and read
+        # the bools as 0 and 1, each giving a prediction for other numbers.
+        f = _leaf_forest([(1, 0)], 2)
+        for predict in (predict_classes, predict_proba):
+            with pytest.raises(ValueError, match="integers or floats"):
+                predict(f, features)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint64, np.float16, np.float32])
+    def test_integer_and_float_input_accepted(self, dtype):
+        root = Internal(feature=0, threshold=1.5, left=1, right=2,
+                        n_samples=2, gini=0.5, class_counts=(1, 1))
+        tree = DecisionTree(nodes=(root, _leaf((1, 0)), _leaf((0, 1))), n_features=1, n_classes=2)
+        f = Forest(trees=(tree,), config=ForestConfig(n_trees=1), n_features=1, n_classes=2)
+        rows = np.array([[0], [1], [2]], dtype=dtype)
+        for features in (rows, rows.tolist()):
+            assert predict_classes(f, features) == [0, 0, 1]
+            assert predict_proba(f, features).tolist() == [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
 
 
 class TestBatchedPrediction:
@@ -512,11 +535,11 @@ class TestBatchedPrediction:
                      for tree in f.trees for leaf, _ in iter_nodes(tree) if isinstance(leaf, Leaf))
         assert impure == (max_depth is not None)
         rows = ds.features
-        votes = predict_classes(f, rows, Aggregation.MAJORITY_VOTE)
-        means = predict_classes(f, rows, Aggregation.MEAN_PROBABILITY)
-        assert votes == [predict_majority(f, x) for x in rows]
-        assert means == [predict_argmax_proba(f, x) for x in rows]
-        assert means == [argmax_lowest(predict_proba(f, x)) for x in rows]
+        votes = predict_classes(f, rows, VOTE)
+        means = predict_classes(f, rows, MEAN)
+        assert votes == [reference_predict_vote(f, x) for x in rows]
+        assert means == [argmax_lowest(reference_predict_proba(f, x)) for x in rows]
+        assert means == [argmax_lowest(p) for p in predict_proba(f, rows)]
         if max_depth is not None:
             assert votes != means  # impure leaves make the modes disagree somewhere
 
@@ -526,23 +549,24 @@ class TestBatchedPrediction:
         split = train_test_split(ds, 0.8, 0)
         f = fit(ds, split, ForestConfig(n_trees=10, max_depth=8, seed=0))
         rows = ds.features[list(split.test[::4])]
-        votes = predict_classes(f, rows, Aggregation.MAJORITY_VOTE)
-        means = predict_classes(f, rows, Aggregation.MEAN_PROBABILITY)
+        votes = predict_classes(f, rows, VOTE)
+        means = predict_classes(f, rows, MEAN)
         assert votes != means
-        assert votes == [predict_majority(f, x) for x in rows]
-        assert votes == [reference_predict_majority(f, x) for x in rows]
-        assert means == [predict_class(f, x, Aggregation.MEAN_PROBABILITY) for x in rows]
-        probas = np.array([predict_proba(f, x) for x in rows])
+        assert votes == [reference_predict_vote(f, x) for x in rows]
+        probas = predict_proba(f, rows)
         reference = np.array([reference_predict_proba(f, x) for x in rows])
         assert probas.view(np.uint64).tolist() == reference.view(np.uint64).tolist()
         assert means == np.argmax(probas, axis=1).tolist()
+        # One row at a time gives each row's scores bit for bit.
+        for x, p in zip(rows[:20], probas):
+            assert predict_proba(f, x[None, :]).view(np.uint64).tolist() == [p.view(np.uint64).tolist()]
 
     def test_ties_go_to_the_lowest_class(self):
         rows = np.zeros((3, 1))
         f = _leaf_forest([(0, 1), (1, 0)], 2)
-        assert predict_classes(f, rows, Aggregation.MAJORITY_VOTE) == [0, 0, 0]
+        assert predict_classes(f, rows, VOTE) == [0, 0, 0]
         f = _leaf_forest([(0, 1, 1), (0, 1, 1)], 3)
-        assert predict_classes(f, rows, Aggregation.MEAN_PROBABILITY) == [1, 1, 1]
+        assert predict_classes(f, rows, MEAN) == [1, 1, 1]
 
     def test_value_equal_to_threshold_goes_left(self):
         root = Internal(feature=0, threshold=2.0, left=1, right=2,
@@ -552,22 +576,24 @@ class TestBatchedPrediction:
         rows = np.array([[2.0], [np.nextafter(2.0, 3.0)], [0.0]])
         for agg in Aggregation:
             assert predict_classes(f, rows, agg) == [0, 1, 0]
-            assert predict_classes(f, rows, agg) == [predict_class(f, x, agg) for x in rows]
+            assert predict_classes(f, rows, agg) == [predict_classes(f, x[None, :], agg)[0] for x in rows]
+        assert predict_proba(f, rows).tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
 
     def test_no_rows(self):
         f = _leaf_forest([(1, 0)], 2)
         assert predict_classes(f, np.zeros((0, 1))) == []
+        assert predict_proba(f, np.zeros((0, 1))).shape == (0, 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_rejected(self, bad):
         f = _leaf_forest([(1, 0)], 2)
         rows = np.zeros((4, 1))
         rows[2, 0] = bad
-        with pytest.raises(ValueError, match="row 2, column 0"):
-            predict_classes(f, rows)
-        for agg in Aggregation:
-            with pytest.raises(ValueError, match="column 0"):
-                predict_class(f, rows[2], agg)
+        for predict in (predict_classes, predict_proba):
+            with pytest.raises(ValueError, match="row 2, column 0"):
+                predict(f, rows)
+            with pytest.raises(ValueError, match="row 0, column 0"):
+                predict(f, rows[2][None, :])
 
 
 class TestAccuracy:
