@@ -31,7 +31,7 @@ def _round10(x: float) -> float:
     return float(f"{x:.10g}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalNode:
     """One node's impurity fingerprint; split_signature is None for leaves."""
 

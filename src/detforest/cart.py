@@ -79,7 +79,7 @@ def gini(counts: tuple[int, ...]) -> float:
     return 1.0 - acc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Split:
     feature: int
     threshold: float
@@ -89,7 +89,7 @@ class Split:
     impurity_decrease: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     n_samples: int
     class_counts: tuple[int, ...]
@@ -100,7 +100,7 @@ class Leaf:
         return tuple(count / self.n_samples for count in self.class_counts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Internal:
     """A split node; `left` and `right` are positions in the tree's node list."""
 

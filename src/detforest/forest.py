@@ -306,9 +306,16 @@ def _float(value, what: str) -> float:
     raise ValueError(f"{what} must be a number, got {value!r}")
 
 
+# A node's fields are its document's keys, read once per node class.
+_NODE_FIELDS = {cls: cls.__slots__ for cls in (Leaf, Internal)}
+
+
 def _tree_to_doc(tree: DecisionTree) -> dict:
-    # A node's fields are its document's keys.
-    nodes = [{**vars(node), "class_counts": list(node.class_counts)} for node in tree.nodes]
+    nodes = []
+    for node in tree.nodes:
+        nd = {name: getattr(node, name) for name in _NODE_FIELDS[type(node)]}
+        nd["class_counts"] = list(node.class_counts)
+        nodes.append(nd)
     return {"nodes": nodes}
 
 
@@ -373,17 +380,32 @@ def _config_from_doc(doc: dict) -> ForestConfig:
     return ForestConfig(**values)
 
 
-def forest_to_doc(f: Forest) -> dict:
+def _header_doc(f: Forest) -> dict:
+    """Every field of f's document but "trees", which sorts after them all."""
     return {
         "schema": FOREST_SCHEMA,
         "n_features": f.n_features,
         "n_classes": f.n_classes,
         "config": _config_to_doc(f.config),
-        "trees": [_tree_to_doc(tree) for tree in f.trees],
     }
 
 
+def forest_to_doc(f: Forest) -> dict:
+    return {**_header_doc(f), "trees": [_tree_to_doc(tree) for tree in f.trees]}
+
+
 def forest_from_doc(doc: dict) -> Forest:
+    """The forest that doc describes, else ValueError; doc is left unchanged."""
+    tree_docs = doc.get("trees") if isinstance(doc, dict) else None
+    return _forest_from_doc(doc, tree_docs[:] if isinstance(tree_docs, list) else tree_docs)
+
+
+def _forest_from_doc(doc: dict, tree_docs: list) -> Forest:
+    """The forest of doc, whose tree documents are tree_docs.
+
+    Each entry of tree_docs is replaced by None once its tree is built, so
+    a caller that holds the list alone frees one tree's document at a time.
+    """
     if not isinstance(doc, dict) or doc.get("schema") != FOREST_SCHEMA:
         raise ValueError(
             f"not a {FOREST_SCHEMA} document (schema={doc.get('schema')!r})"
@@ -395,16 +417,28 @@ def forest_from_doc(doc: dict) -> Forest:
         n_classes = _int(doc["n_classes"], "n_classes")
         config = _config_from_doc(doc["config"])
         config.resolved_mtry(n_features)  # rejects n_features < 1 and an mtry above it
-        trees = tuple(_tree_from_doc(td, n_features, n_classes) for td in doc["trees"])
+        if not isinstance(tree_docs, list):
+            raise ValueError("forest document has no list of trees")
+        if len(tree_docs) != config.n_trees:
+            raise ValueError(f"document has {len(tree_docs)} trees but config says {config.n_trees}")
+        trees = []
+        for k in range(len(tree_docs)):
+            trees.append(_tree_from_doc(tree_docs[k], n_features, n_classes))
+            tree_docs[k] = None
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed forest document: {type(exc).__name__}: {exc}") from None
-    if len(trees) != config.n_trees:
-        raise ValueError(f"document has {len(trees)} trees but config says {config.n_trees}")
-    return Forest(trees=trees, config=config, n_features=n_features, n_classes=n_classes)
+    return Forest(trees=tuple(trees), config=config, n_features=n_features, n_classes=n_classes)
 
 
 def forest_to_json(f: Forest) -> str:
-    return dump_json(forest_to_doc(f))
+    """dump_json(forest_to_doc(f)), built from one tree's document at a time."""
+    # dump_json sorts keys and "trees" sorts last, so the text is the
+    # header's up to its closing brace, then the tree list.
+    parts = [dump_json(_header_doc(f))[:-1], ',"trees":[']
+    for tree in f.trees:
+        parts += (dump_json(_tree_to_doc(tree)), ",")
+    parts[-1] = "]}"
+    return "".join(parts)
 
 
 def dump_json(doc) -> str:
@@ -421,11 +455,16 @@ def read_json(text: str, what: str):
 
 
 def forest_from_json(text: str) -> Forest:
-    return forest_from_doc(read_json(text, "forest document"))
+    # The parsed document is this call's alone, so each tree's document is
+    # freed once its tree is built.
+    doc = read_json(text, "forest document")
+    return _forest_from_doc(doc, doc.get("trees") if isinstance(doc, dict) else None)
 
 
 def save_forest(f: Forest, path) -> None:
-    Path(path).write_text(forest_to_json(f) + "\n", encoding="utf-8")
+    with Path(path).open("w", encoding="utf-8") as out:
+        out.write(forest_to_json(f))
+        out.write("\n")
 
 
 def load_forest(path) -> Forest:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,11 +31,15 @@ from detforest import (
     save_forest,
     train_test_split,
 )
-from detforest.cart import DecisionTree, Internal, Leaf, iter_nodes, trees_equal_exact
+from detforest.canonical import canonicalize
+from detforest.cart import DecisionTree, Internal, Leaf, Split, iter_nodes, trees_equal_exact
+from detforest.cli import PRESETS
 from detforest.forest import (
     bootstrap_sample,
+    dump_json,
     forest_from_doc,
     forest_to_doc,
+    read_json,
 )
 from detforest.prng import TRIAL_STREAM, bounded_uint, shuffle
 
@@ -741,3 +748,94 @@ class TestSerialization:
         text = json.dumps(doc).replace('"THRESHOLD"', threshold)
         with pytest.raises(ValueError, match="threshold"):
             forest_from_json(text)
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes traced by tracemalloc while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneTreeAtATime:
+    """The writer dumps one tree's document at a time, and the loader frees
+    each tree's document once its tree is built."""
+
+    @pytest.fixture(scope="class")
+    def forest20(self):
+        ds = generate_synthetic_formulas(600, 12, 0)
+        return fit(ds, train_test_split(ds, 0.75, 0), ForestConfig(n_trees=20, seed=0))
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_text_is_the_dump_of_the_document(self, preset):
+        ds = generate_synthetic_formulas(200, 6, 3)
+        cfg = PRESETS[preset].config()
+        cfg = dataclasses.replace(cfg, n_trees=min(cfg.n_trees, 5), seed=3)
+        f = fit(ds, train_test_split(ds, 0.75, 3), cfg)
+        assert forest_to_json(f) == dump_json(forest_to_doc(f))
+
+    def test_one_tree_text_is_the_dump_of_the_document(self):
+        ds = generate_synthetic_formulas(200, 6, 4)
+        f = fit(ds, train_test_split(ds, 0.75, 4), ForestConfig(n_trees=1, seed=4))
+        assert forest_to_json(f) == dump_json(forest_to_doc(f))
+
+    def test_from_doc_leaves_the_document_unchanged(self, forest20):
+        doc = forest_to_doc(forest20)
+        before = copy.deepcopy(doc)
+        g = forest_from_doc(doc)
+        assert doc == before
+        assert forest_to_json(g) == forest_to_json(forest20)
+
+    def test_trees_that_are_not_a_list_rejected(self, forest20):
+        doc = forest_to_doc(forest20)
+        for trees in (None, {"nodes": []}, "trees", tuple(doc["trees"])):
+            with pytest.raises(ValueError, match="no list of trees"):
+                forest_from_doc({**doc, "trees": trees})
+        del doc["trees"]
+        with pytest.raises(ValueError, match="no list of trees"):
+            forest_from_json(json.dumps(doc))
+
+    def test_writer_peak_is_below_the_document(self, forest20):
+        # One json.dumps of the whole document peaked at 3.7x the document.
+        assert _traced_peak(forest_to_json, forest20) < _traced_peak(forest_to_doc, forest20)
+
+    def test_loader_peak_is_close_to_the_parse(self, forest20):
+        # Holding every tree's document until the last tree is built peaked
+        # at 1.6x the parse.
+        text = forest_to_json(forest20)
+        assert _traced_peak(forest_from_json, text) <= 1.25 * _traced_peak(read_json, text, "forest")
+
+
+class TestPickle:
+    """Trees cross process boundaries as pickles; nodes are frozen, slotted records."""
+
+    @pytest.fixture(scope="class")
+    def forest(self):
+        ds = generate_synthetic_formulas(120, 5, 2)
+        return fit(ds, train_test_split(ds, 0.75, 2), ForestConfig(n_trees=3, max_depth=4, seed=2))
+
+    def test_forest_round_trips(self, forest):
+        assert pickle.loads(pickle.dumps(forest)) == forest
+
+    def test_canonical_form_round_trips(self, forest):
+        form = canonicalize(forest.trees[0])
+        assert pickle.loads(pickle.dumps(form)) == form
+
+    def test_nodes_take_no_new_attribute(self, forest):
+        nodes = list(forest.trees[0].nodes) + list(canonicalize(forest.trees[0]))
+        nodes.append(Split(0, 0.5, (1,), (1,), 0.0, 0.5))
+        assert {type(node).__name__ for node in nodes} == {"Leaf", "Internal", "CanonicalNode", "Split"}
+        for node in nodes:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, dataclasses.fields(node)[0].name, 1)
+            # CPython 3.10-3.13 raise TypeError here: the frozen __setattr__
+            # that dataclasses generates calls super() with the class that
+            # slots=True replaces.
+            with pytest.raises((AttributeError, TypeError)):
+                node.extra = 1
+            # No instance dict: a slotted record has no room for the name.
+            with pytest.raises(AttributeError):
+                object.__setattr__(node, "extra", 1)
