@@ -97,17 +97,6 @@ class DivergenceReport:
     n_test: int
     pairs: tuple[PairDivergence, ...]
 
-    def pair(self, label_a: str, label_b: str) -> PairDivergence:
-        want = {label_a, label_b}
-        for p in self.pairs:
-            if {p.label_a, p.label_b} == want:
-                return p
-        raise KeyError(f"no pair ({label_a!r}, {label_b!r}) in report")
-
-    @property
-    def total_divergent_pairs(self) -> int:
-        return sum(1 for p in self.pairs if p.n_divergent > 0)
-
     def matrix(self) -> list[list[int]]:
         """Symmetric counts matrix with a zero diagonal, in label order."""
         k = len(self.labels)

@@ -106,7 +106,7 @@ def load_csv(path: str, label_column: str, composition: bool = False) -> Dataset
         except csv.Error as exc:  # such as a cell over csv.field_size_limit()
             raise ValueError(f"cannot parse {path!r} as CSV: {exc}") from None
     features, raw_labels, feature_names = parsed
-    return Dataset(features, _map_labels(raw_labels), feature_names, composition=composition)
+    return Dataset(features, _map_labels(raw_labels, label_column), feature_names, composition=composition)
 
 
 def _read_header(reader, path: str, label_column: str) -> tuple[list[str], int]:
@@ -220,12 +220,15 @@ def _rows_are_plain(fh) -> bool:
     return not empty
 
 
-def _map_labels(raw: list[str]) -> np.ndarray:
+def _map_labels(raw: list[str], label_column: str) -> np.ndarray:
     try:
         ints = [int(cell) for cell in raw]
     except ValueError:
         ints = None
     if ints is not None and min(ints) >= 0:
+        if max(ints) >= 2**63:
+            r = next(r for r, label in enumerate(ints, start=1) if label >= 2**63)
+            raise ValueError(f"label {raw[r - 1]!r} at row {r}, column {label_column!r} is above 2**63 - 1")
         return np.array(ints, dtype=np.int64)
     seen: dict[str, int] = {}
     out = np.empty(len(raw), dtype=np.int64)

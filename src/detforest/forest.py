@@ -328,7 +328,8 @@ def _tree_from_doc(doc: dict, n_features: int, n_classes: int) -> DecisionTree:
         counts = tuple(_int(v, f"node {i} class count") for v in nd["class_counts"])
         total = _int(nd["n_samples"], f"node {i} n_samples")
         g = _float(nd["gini"], f"node {i} gini")
-        if len(counts) != n_classes or total < 1 or sum(counts) != total or min(counts) < 0:
+        # best_split counts rows in float64, exact up to 2**53: no fit makes more.
+        if len(counts) != n_classes or not 1 <= total <= 2**53 or sum(counts) != total or min(counts) < 0:
             raise ValueError(f"node {i} has n_samples {total} and class counts {list(counts)}")
         if g != gini(counts):
             raise ValueError(f"node {i} stores gini {g!r}, not the gini of its class counts")
@@ -380,32 +381,13 @@ def _config_from_doc(doc: dict) -> ForestConfig:
     return ForestConfig(**values)
 
 
-def _header_doc(f: Forest) -> dict:
-    """Every field of f's document but "trees", which sorts after them all."""
-    return {
-        "schema": FOREST_SCHEMA,
-        "n_features": f.n_features,
-        "n_classes": f.n_classes,
-        "config": _config_to_doc(f.config),
-    }
+def forest_from_json(text: str) -> Forest:
+    """The forest that text describes, else ValueError.
 
-
-def forest_to_doc(f: Forest) -> dict:
-    return {**_header_doc(f), "trees": [_tree_to_doc(tree) for tree in f.trees]}
-
-
-def forest_from_doc(doc: dict) -> Forest:
-    """The forest that doc describes, else ValueError; doc is left unchanged."""
-    tree_docs = doc.get("trees") if isinstance(doc, dict) else None
-    return _forest_from_doc(doc, tree_docs[:] if isinstance(tree_docs, list) else tree_docs)
-
-
-def _forest_from_doc(doc: dict, tree_docs: list) -> Forest:
-    """The forest of doc, whose tree documents are tree_docs.
-
-    Each entry of tree_docs is replaced by None once its tree is built, so
-    a caller that holds the list alone frees one tree's document at a time.
+    The parsed document is this call's alone, so each tree's entry is
+    replaced by None, freeing its document, once its tree is built.
     """
+    doc = read_json(text, "forest document")
     if not isinstance(doc, dict) or doc.get("schema") != FOREST_SCHEMA:
         raise ValueError(
             f"not a {FOREST_SCHEMA} document (schema={doc.get('schema')!r})"
@@ -417,6 +399,7 @@ def _forest_from_doc(doc: dict, tree_docs: list) -> Forest:
         n_classes = _int(doc["n_classes"], "n_classes")
         config = _config_from_doc(doc["config"])
         config.resolved_mtry(n_features)  # rejects n_features < 1 and an mtry above it
+        tree_docs = doc.get("trees")
         if not isinstance(tree_docs, list):
             raise ValueError("forest document has no list of trees")
         if len(tree_docs) != config.n_trees:
@@ -431,10 +414,20 @@ def _forest_from_doc(doc: dict, tree_docs: list) -> Forest:
 
 
 def forest_to_json(f: Forest) -> str:
-    """dump_json(forest_to_doc(f)), built from one tree's document at a time."""
-    # dump_json sorts keys and "trees" sorts last, so the text is the
-    # header's up to its closing brace, then the tree list.
-    parts = [dump_json(_header_doc(f))[:-1], ',"trees":[']
+    """The forest's document text, built from one tree's document at a time.
+
+    The document holds the schema, n_features, n_classes, the config and
+    the trees, each a preorder node list.  dump_json sorts keys and "trees"
+    sorts last, so the text is the header's up to its closing brace, then
+    the tree list: the bytes of one dump of the whole document.
+    """
+    header = {
+        "schema": FOREST_SCHEMA,
+        "n_features": f.n_features,
+        "n_classes": f.n_classes,
+        "config": _config_to_doc(f.config),
+    }
+    parts = [dump_json(header)[:-1], ',"trees":[']
     for tree in f.trees:
         parts += (dump_json(_tree_to_doc(tree)), ",")
     parts[-1] = "]}"
@@ -452,13 +445,6 @@ def read_json(text: str, what: str):
         return json.loads(text)
     except RecursionError:
         raise ValueError(f"{what} is nested too deeply") from None
-
-
-def forest_from_json(text: str) -> Forest:
-    # The parsed document is this call's alone, so each tree's document is
-    # freed once its tree is built.
-    doc = read_json(text, "forest document")
-    return _forest_from_doc(doc, doc.get("trees") if isinstance(doc, dict) else None)
 
 
 def save_forest(f: Forest, path) -> None:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
+from enum import Enum
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from detforest import (
 from detforest.cart import BLOCK_CELLS, TieBreak, _midpoint
 from detforest.cli import _CONFIG_HEADER, ConfigError
 from detforest.dataset import _map_labels
-from detforest.forest import MTRY_ALL, Aggregation, Forest, ForestConfig
+from detforest.forest import FOREST_SCHEMA, MTRY_ALL, Aggregation, Forest, ForestConfig
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -217,6 +219,23 @@ def reference_predict_proba(f: Forest, x: np.ndarray) -> np.ndarray:
     return acc / len(f.trees)
 
 
+def forest_to_doc(f: Forest) -> dict:
+    """The whole forest document as one dict, the reference for forest_to_json:
+    its text must be dump_json of this, and its peak memory below this build's."""
+    config = {k: v.value if isinstance(v, Enum) else v for k, v in vars(f.config).items()}
+    return {
+        "schema": FOREST_SCHEMA,
+        "n_features": f.n_features,
+        "n_classes": f.n_classes,
+        "config": config,
+        "trees": [{"nodes": [_node_doc(node) for node in tree.nodes]} for tree in f.trees],
+    }
+
+
+def _node_doc(node: TreeNode) -> dict:
+    return {**dataclasses.asdict(node), "class_counts": list(node.class_counts)}
+
+
 def reference_load_csv(path: str, label_column: str, composition: bool = False) -> Dataset:
     """load_csv as it was before plain files went to numpy's C reader.
 
@@ -263,7 +282,7 @@ def reference_load_csv(path: str, label_column: str, composition: bool = False) 
 
     if not rows:
         raise ValueError(f"{path!r} contains no data rows")
-    labels = _map_labels(raw_labels)
+    labels = _map_labels(raw_labels, label_column)
     return Dataset(np.array(rows, dtype=np.float64), labels, feature_names, composition=composition)
 
 

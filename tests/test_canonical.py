@@ -188,15 +188,15 @@ class TestForestDivergence:
         b = fx.forest()
         report = forest_divergence([("a", a), ("b", b)], fx.ds, rows=fx.split.test)
         assert report.n_test == len(fx.split.test)
-        assert report.pair("a", "b").n_divergent == 0
-        assert report.pair("a", "b").rows == ()
-        assert report.total_divergent_pairs == 0
+        (pair,) = report.pairs
+        assert (pair.label_a, pair.label_b, pair.n_divergent, pair.rows) == ("a", "b", 0, ())
 
     def test_different_seeds_diverge(self, fx):
         a = fx.forest(seed=4)
         b = fx.forest(seed=5)
         report = forest_divergence([("a", a), ("b", b)], fx.ds, rows=fx.split.test)
-        pair = report.pair("a", "b")
+        (pair,) = report.pairs
+        assert (pair.label_a, pair.label_b) == ("a", "b")
         assert pair.n_divergent > 0
         assert len(pair.rows) == pair.n_divergent
         assert set(pair.rows) <= set(fx.split.test)
@@ -207,7 +207,7 @@ class TestForestDivergence:
             [("x", f), ("y", f)], fx.ds, rows=fx.split.test,
             aggregation=Aggregation.MAJORITY_VOTE,
         )
-        assert votes.pair("x", "y").n_divergent == 0
+        assert [p.n_divergent for p in votes.pairs] == [0]
         # Same forest under two aggregation modes CAN disagree; check the
         # report against a direct comparison of the two modes' predictions.
         fv = Forest(
@@ -224,7 +224,8 @@ class TestForestDivergence:
         votes = predict_classes(f, rows, Aggregation.MAJORITY_VOTE)
         means = predict_classes(f, rows, Aggregation.MEAN_PROBABILITY)
         expected = [r for r, v, m in zip(fx.split.test, votes, means) if v != m]
-        assert list(report.pair("vote", "mean").rows) == expected
+        (pair,) = report.pairs
+        assert (pair.label_a, pair.label_b, list(pair.rows)) == ("vote", "mean", expected)
 
     def test_matrix_symmetric_zero_diagonal(self, fx):
         forests = [("s4", fx.forest(seed=4)), ("s5", fx.forest(seed=5)),
@@ -236,7 +237,8 @@ class TestForestDivergence:
             assert m[i][i] == 0
             for j in range(3):
                 assert m[i][j] == m[j][i]
-        assert m[0][1] == report.pair("s4", "s5").n_divergent
+        pairs = {(p.label_a, p.label_b): p.n_divergent for p in report.pairs}
+        assert pairs == {("s4", "s5"): m[0][1], ("s4", "s6"): m[0][2], ("s5", "s6"): m[1][2]}
 
     def test_rows_default_is_whole_dataset(self, fx):
         a = fx.forest()
@@ -254,8 +256,6 @@ class TestForestDivergence:
             forest_divergence([("a", f), ("b", f)], other)
         with pytest.raises(ValueError):
             forest_divergence([("a", f), ("b", f)], fx.ds, rows=[])
-        with pytest.raises(KeyError):
-            forest_divergence([("a", f), ("b", f)], fx.ds).pair("a", "zz")
 
     def test_to_text_two_labels(self):
         ds = tiny_dataset([[1.0, 2.0, 3.0]], [0, 1, 0])
@@ -264,7 +264,7 @@ class TestForestDivergence:
         always0 = _leaf_forest([(1, 0)], 2)
         always1 = _leaf_forest([(0, 1)], 2)
         report = forest_divergence([("zero", always0), ("one", always1)], ds)
-        assert report.pair("zero", "one").n_divergent == 3
+        assert [p.n_divergent for p in report.pairs] == [3]
         text = report.to_text()
         assert text == (
             "Divergent classifications out of 3 test rows:\n"
@@ -280,4 +280,4 @@ class TestForestDivergence:
         assert doc["labels"] == ["a", "b"]
         assert doc["n_test"] == len(fx.split.test)
         assert doc["matrix"] == report.matrix()
-        assert doc["pairs"][0]["n_divergent"] == report.pair("a", "b").n_divergent
+        assert doc["pairs"][0]["n_divergent"] == report.pairs[0].n_divergent

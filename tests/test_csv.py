@@ -111,9 +111,12 @@ CASES = [
     ("unicode-space", "a,label\n\u20031\u2003,0\n", True),
     ("inf-and-signs", "a,b,label\ninf,+Infinity,0\n-0.0,1E+2,1\n", True),
     ("float-labels", "a,label\n1,1.0\n2,1\n", True),
+    ("label-above-int64", "a,label\n1,99999999999999999999\n2,0\n", True),
+    ("largest-int64-label", "a,label\n1,9223372036854775807\n", True),
     ("other-line-breaks", "a,label\n1,x\u2028y\n2\u2029,\x85\n3,\x0c\n", True),
     ("quote-in-label", 'a,label\n1,"2"\n2,2\n', False),
     ("quote-in-cell", 'a,label\n"1.5",0\n', False),
+    ("quoted-label-above-int64", 'a,label\n1,"99999999999999999999"\n2,0\n', False),
     ("nul", "a,label\n1,a\x00\n", False),
     ("bare-cr", "a,label\n1,0\r2,1\n", False),
     ("bare-cr-at-end", "a,label\n1,0\r", False),

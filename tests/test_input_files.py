@@ -255,6 +255,10 @@ BAD_CSV_CASES = [
     ("duplicate-label", "x,label,label\n1,0,0\n2,1,1\n", "'label' appears 2 times in header"),
     ("duplicate-label-quoted-cell", 'label,x,label,label\n0,"1",0,0\n1,2,1,1\n', "'label' appears 3 times in header"),
     ("label-only", "label\n0\n1\n", "no feature column"),
+    # int64 holds the labels: one above 2**63 - 1 ended in an OverflowError.
+    ("label-above-int64", "a,b,label\n1,2,99999999999999999999\n3,4,0\n", "at row 1, column 'label' is above"),
+    ("label-above-int64-quoted", 'a,b,label\n1,2,"99999999999999999999"\n3,4,0\n', "at row 1, column 'label' is above"),
+    ("label-2-to-the-63", "a,label\n1,9223372036854775807\n2,9223372036854775808\n", "'9223372036854775808' at row 2"),
 ]
 
 

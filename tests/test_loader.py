@@ -25,6 +25,7 @@ import detforest
 from detforest import (
     ForestConfig,
     Internal,
+    canonicalize,
     fit,
     forest_from_json,
     forest_to_json,
@@ -164,6 +165,9 @@ BAD_TREES = [
     ("nan-gini", [{**L10, "gini": math.nan}], "stores gini nan"),
     ("string-count", [{**L10, "class_counts": "10"}], "class count must be an integer"),
     ("node-is-list", [[1, 0]], "malformed forest document"),
+    # Fits count rows exactly in float64; canonicalize overflowed on 10**400.
+    ("huge-n-samples", [_split([10**400, 1], 1, 2), _leaf([10**400, 0]), L01], "n_samples 10000"),
+    ("n-samples-above-2-to-the-53", [_leaf([2**53 + 1, 0])], f"n_samples {2**53 + 1}"),
 ]
 
 
@@ -178,6 +182,12 @@ def test_hand_built_valid_tree_loads():
     # The builders above make a valid tree when nothing is wrong.
     forest = _load(_one_tree_doc([_split([1, 1], 1, 2), L10, L01]))
     assert_valid_forest(forest)
+
+
+def test_largest_exact_count_loads():
+    forest = _load(_one_tree_doc([_leaf([2**53, 0])]))
+    assert_valid_forest(forest)
+    assert canonicalize(forest.trees[0])[0].n_samples == 2**53
 
 
 @pytest.mark.parametrize("nodes, message", [b[1:] for b in BAD_TREES], ids=[b[0] for b in BAD_TREES])
