@@ -2,14 +2,17 @@
 
 Two trees that split on different (but tied) features are different objects
 bit-for-bit, yet they partition the training data identically: every node
-keeps the same depth, sample count, class counts and Gini impurity.  The
-canonical form captures exactly that fingerprint — feature indices and
-thresholds are deliberately excluded — so "identical up to tied splits"
-becomes a decidable equality.
+keeps the same depth and class counts.  The canonical form captures exactly
+that fingerprint — feature indices, thresholds and impurities are
+deliberately excluded — so "identical up to tied splits" becomes a decidable
+equality.
 
-Floats enter the canonical form rounded to 10 significant digits: enough to
-distinguish genuinely different impurities, coarse enough to absorb
-last-bit noise between independent implementations.
+The form holds integers only.  It is defined for trees whose stored gini is
+gini(class_counts), which `grow_tree` computes and `forest_from_json`
+enforces.  A node's gini and a split's impurity decrease are then functions
+of counts that the form already holds, so comparing counts exactly decides
+equality, and an independent implementation reproduces it without copying
+any float operation order.
 
 Forest diffing counts, per pair of forests, the test rows they classify
 differently, and renders the counts as an upper-triangular matrix.
@@ -26,59 +29,31 @@ from .dataset import Dataset
 from .forest import Aggregation, Forest, _row_indices, predict_classes
 
 
-def _round10(x: float) -> float:
-    """Round to 10 significant decimal digits (via the shortest %.10g form)."""
-    return float(f"{x:.10g}")
-
-
 @dataclass(frozen=True, slots=True)
 class CanonicalNode:
-    """One node's impurity fingerprint; split_signature is None for leaves."""
+    """One node's fingerprint; is_split is False for leaves."""
 
     depth: int
-    n_samples: int
     class_counts: tuple[int, ...]
-    gini: float
-    split_signature: tuple[float, int, int] | None
+    is_split: bool
 
 
-# A canonical tree is the preorder tuple of canonical nodes; together with
-# the leaf/internal distinction this pins the tree shape uniquely.
+# A canonical tree is the preorder tuple of canonical nodes; the preorder
+# sequence of is_split flags pins the tree shape uniquely.
 CanonicalTree = tuple[CanonicalNode, ...]
 
 
 def canonicalize(tree: DecisionTree) -> CanonicalTree:
     """Map every node to its CanonicalNode, in preorder.
 
-    The split signature is (impurity decrease, left child size, right child
-    size), recomputed from the stored node fields so it works equally on
-    freshly grown and deserialized trees.
+    Defined for trees whose stored gini is gini(class_counts) (see the
+    module docstring); two such trees are canonically equal iff
+    canonicalize(a) == canonicalize(b).
     """
-    out: list[CanonicalNode] = []
-    for node, depth in iter_nodes(tree):
-        if isinstance(node, Internal):
-            left, right = tree.nodes[node.left], tree.nodes[node.right]
-            nl, nr = left.n_samples, right.n_samples
-            weighted = (nl * left.gini + nr * right.gini) / node.n_samples
-            signature = (_round10(node.gini - weighted), nl, nr)
-        else:
-            signature = None
-        out.append(
-            CanonicalNode(
-                depth=depth,
-                n_samples=node.n_samples,
-                class_counts=node.class_counts,
-                gini=_round10(node.gini),
-                split_signature=signature,
-            )
-        )
-    return tuple(out)
-
-
-def trees_equal_canonical(a: DecisionTree, b: DecisionTree) -> bool:
-    """True iff the trees have the same canonical form (same shape, same
-    fingerprint at every position)."""
-    return canonicalize(a) == canonicalize(b)
+    return tuple(
+        CanonicalNode(depth, node.class_counts, isinstance(node, Internal))
+        for node, depth in iter_nodes(tree)
+    )
 
 
 @dataclass(frozen=True)

@@ -85,8 +85,6 @@ class Split:
     threshold: float
     left_counts: tuple[int, ...]
     right_counts: tuple[int, ...]
-    weighted_child_impurity: float
-    impurity_decrease: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,7 +207,6 @@ def best_split(
     cols = np.asarray(candidates, dtype=np.intp)
     if n < 2 or cols.size == 0:
         return None
-    parent_gini = gini(parent)
     total = sum(parent)
     c = ds.c
     min_leaf = cfg.min_node_size if cfg.node_size_semantics is NodeSizeSemantics.MIN_LEAF else 1
@@ -263,7 +260,7 @@ def best_split(
     # A split must beat the parent by more than TIE_TOL: the window is capped
     # at the largest float below that limit.
     best_weighted = weighted_all.min()
-    limit = parent_gini - TIE_TOL
+    limit = gini(parent) - TIE_TOL
     if not best_weighted < limit:
         return None
     window = min(best_weighted + TIE_TOL, math.nextafter(limit, -math.inf))
@@ -282,17 +279,9 @@ def best_split(
         xs = x[order]
         left_counts = units[:c, order[: j + 1]].sum(axis=1)
     threshold = _midpoint(float(xs[j]), float(xs[j + 1]))
-    weighted_value = float(weighted_all[col, j])
     left = tuple(int(v) for v in left_counts.tolist())
     right = tuple(total_k - left_k for total_k, left_k in zip(parent, left))
-    return Split(
-        feature=f,
-        threshold=threshold,
-        left_counts=left,
-        right_counts=right,
-        weighted_child_impurity=weighted_value,
-        impurity_decrease=parent_gini - weighted_value,
-    )
+    return Split(feature=f, threshold=threshold, left_counts=left, right_counts=right)
 
 
 def _partner_rows(rng: RngState, p: int, block: int):

@@ -23,6 +23,7 @@ from detforest import (
     class_counts_of,
     draw_candidates,
     gini,
+    iter_nodes,
     predict_leaf,
 )
 from detforest.cart import BLOCK_CELLS, TieBreak, _midpoint
@@ -98,17 +99,22 @@ def exhaustive_split_oracle(
                 threshold = pairs[j][0]
             lc = tuple(left)
             rc = tuple(p - l for p, l in zip(parent, left))
-            found.append(
-                (
-                    weighted,
-                    Split(f, threshold, lc, rc, weighted, parent_gini - weighted),
-                )
-            )
+            found.append((weighted, Split(f, threshold, lc, rc)))
 
     if not found:
         return []
     best = min(w for w, _ in found)
     return [s for w, s in found if w <= best + TIE_TOL]
+
+
+def weighted_child_impurity(sp: Split) -> float:
+    """The split's weighted child impurity, bit for bit as best_split has it.
+
+    best_split's float order: each side's class squares summed in class
+    order (gini's order), then ``(nL * gL + nR * gR) / n``, left term first.
+    """
+    nl, nr = sum(sp.left_counts), sum(sp.right_counts)
+    return (nl * gini(sp.left_counts) + nr * gini(sp.right_counts)) / (nl + nr)
 
 
 def _unxorshift(y: int, shift: int) -> int:
@@ -234,6 +240,32 @@ def forest_to_doc(f: Forest) -> dict:
 
 def _node_doc(node: TreeNode) -> dict:
     return {**dataclasses.asdict(node), "class_counts": list(node.class_counts)}
+
+
+def _round10(x: float) -> float:
+    """Round to 10 significant decimal digits (via the shortest %.10g form)."""
+    return float(f"{x:.10g}")
+
+
+def reference_canonicalize(tree: DecisionTree) -> tuple:
+    """canonicalize as it was when the form held floats, one tuple per node.
+
+    Per node, in preorder: (depth, n_samples, class counts, gini rounded to
+    10 significant digits, split signature).  A split node's signature is
+    (its impurity decrease, rounded the same way, left child size, right
+    child size), recomputed from the stored node fields; a leaf's is None.
+    """
+    out = []
+    for node, depth in iter_nodes(tree):
+        if isinstance(node, Internal):
+            left, right = tree.nodes[node.left], tree.nodes[node.right]
+            nl, nr = left.n_samples, right.n_samples
+            weighted = (nl * left.gini + nr * right.gini) / node.n_samples
+            signature = (_round10(node.gini - weighted), nl, nr)
+        else:
+            signature = None
+        out.append((depth, node.n_samples, node.class_counts, _round10(node.gini), signature))
+    return tuple(out)
 
 
 def reference_load_csv(path: str, label_column: str, composition: bool = False) -> Dataset:
@@ -412,17 +444,9 @@ def reference_best_split(
             y[order[: j + 1]], weights=None if w is None else w[order[: j + 1]], minlength=ds.c
         )
     threshold = _midpoint(float(xs[j]), float(xs[j + 1]))
-    weighted_value = float(weighted_all[j, col])
     left = tuple(int(v) for v in left_counts.tolist())
     right = tuple(total_k - left_k for total_k, left_k in zip(parent, left))
-    return Split(
-        feature=f,
-        threshold=threshold,
-        left_counts=left,
-        right_counts=right,
-        weighted_child_impurity=weighted_value,
-        impurity_decrease=parent_gini - weighted_value,
-    )
+    return Split(feature=f, threshold=threshold, left_counts=left, right_counts=right)
 
 
 # The config-file codec as it was before one field table described it:

@@ -2,83 +2,63 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detforest import (
     Aggregation,
+    Dataset,
     DecisionTree,
     Forest,
     ForestConfig,
+    NodeSizeSemantics,
     SplitIndices,
     TieBreak,
     canonicalize,
     derive_stream,
     fit,
     forest_divergence,
+    forest_from_json,
+    forest_to_json,
     generate_synthetic_formulas,
+    gini,
     grow_tree,
     predict_classes,
     train_test_split,
-    trees_equal_canonical,
 )
-from detforest.canonical import CanonicalNode, _round10
+from detforest.canonical import CanonicalNode
 from detforest.cart import Internal, Leaf, draw_candidates, trees_equal_exact
 
-from helpers import duplicated_feature_dataset, tiny_dataset
+from helpers import duplicated_feature_dataset, reference_canonicalize, tiny_dataset
 
 
-def _leaf(counts, gini=0.0):
-    return Leaf(n_samples=sum(counts), class_counts=tuple(counts), gini=gini)
+def _leaf(counts):
+    return Leaf(n_samples=sum(counts), class_counts=tuple(counts), gini=gini(tuple(counts)))
 
 
-def _single_leaf_tree(counts, gini=0.0):
-    return DecisionTree(nodes=(_leaf(counts, gini),), n_features=1, n_classes=len(counts))
-
-
-class TestRound10:
-    def test_passthrough_for_short_values(self):
-        assert _round10(0.5) == 0.5
-        assert _round10(0.0) == 0.0
-
-    def test_rounds_to_ten_significant_digits(self):
-        assert _round10(0.12345678994) == 0.1234567899
-        assert _round10(0.12345678996) == 0.12345679
-
-    def test_absorbs_last_bit_noise(self):
-        a = 2.0 / 3.0
-        b = 1.0 - 1.0 / 3.0  # differs from a in the last bit
-        assert a != b
-        assert _round10(a) == _round10(b)
+def _single_leaf_tree(counts):
+    return DecisionTree(nodes=(_leaf(counts),), n_features=1, n_classes=len(counts))
 
 
 class TestCanonicalize:
     def test_single_leaf(self):
-        tree = _single_leaf_tree([3, 1], gini=0.375)
-        canon = canonicalize(tree)
-        assert canon == (
-            CanonicalNode(
-                depth=0,
-                n_samples=4,
-                class_counts=(3, 1),
-                gini=0.375,
-                split_signature=None,
-            ),
-        )
+        canon = canonicalize(_single_leaf_tree([3, 1]))
+        assert canon == (CanonicalNode(depth=0, class_counts=(3, 1), is_split=False),)
 
-    def test_internal_signature_recomputed_from_children(self):
+    def test_split_node_and_children(self):
         ds = duplicated_feature_dataset(copies_per_value=1)
         tree = grow_tree(
             ds, np.arange(4), ForestConfig(mtry=2), derive_stream(0, 0)
         )
-        canon = canonicalize(tree)
-        assert len(canon) == 3
-        root = canon[0]
-        # children pure: decrease == parent gini; sizes 2/2
-        assert root.split_signature == (0.5, 2, 2)
-        assert root.gini == 0.5
-        assert canon[1].depth == canon[2].depth == 1
-        assert canon[1].split_signature is None
+        assert canonicalize(tree) == (
+            CanonicalNode(depth=0, class_counts=(2, 2), is_split=True),
+            CanonicalNode(depth=1, class_counts=(2, 0), is_split=False),
+            CanonicalNode(depth=1, class_counts=(0, 2), is_split=False),
+        )
 
     def test_feature_and_threshold_excluded(self):
         # Same fingerprint even though one tree splits feature 0 and the
@@ -92,7 +72,7 @@ class TestCanonicalize:
             nodes=(Internal(1, 7.0, 1, 2, 4, 0.5, (2, 2)), left, right), n_features=2, n_classes=2
         )
         assert not trees_equal_exact(t1, t2)
-        assert trees_equal_canonical(t1, t2)
+        assert canonicalize(t1) == canonicalize(t2)
 
 
 class TestTreesEqualCanonical:
@@ -101,7 +81,7 @@ class TestTreesEqualCanonical:
         tree = grow_tree(
             ds, np.arange(ds.n), ForestConfig(mtry=2), derive_stream(1, 0)
         )
-        assert trees_equal_canonical(tree, tree)
+        assert canonicalize(tree) == canonicalize(tree)
 
     def test_tied_features_equal_canonically_not_exactly(self):
         ds = duplicated_feature_dataset()
@@ -122,12 +102,10 @@ class TestTreesEqualCanonical:
             derive_stream(5, s),
         )
         assert not trees_equal_exact(first, lowest)
-        assert trees_equal_canonical(first, lowest)
+        assert canonicalize(first) == canonicalize(lowest)
 
     def test_count_difference_detected(self):
-        assert not trees_equal_canonical(
-            _single_leaf_tree([3, 1], 0.375), _single_leaf_tree([1, 3], 0.375)
-        )
+        assert canonicalize(_single_leaf_tree([3, 1])) != canonicalize(_single_leaf_tree([1, 3]))
 
     def test_depth_capped_prefix_detected(self):
         ds = tiny_dataset([[1.0, 2.0, 3.0, 4.0]], [0, 0, 1, 0])
@@ -135,18 +113,7 @@ class TestTreesEqualCanonical:
         stump = grow_tree(
             ds, np.arange(4), ForestConfig(mtry=1, max_depth=1), derive_stream(0, 0)
         )
-        assert not trees_equal_canonical(full, stump)
-
-    def test_gini_rounding_boundary(self):
-        base = 0.1234567890123
-        same = base + 1e-14  # collapses at 10 significant digits
-        diff = 0.1234568890123  # differs in the 8th digit
-        assert trees_equal_canonical(
-            _single_leaf_tree([3, 1], base), _single_leaf_tree([3, 1], same)
-        )
-        assert not trees_equal_canonical(
-            _single_leaf_tree([3, 1], base), _single_leaf_tree([3, 1], diff)
-        )
+        assert canonicalize(full) != canonicalize(stump)
 
     def test_equivalence_relation_on_tied_trees(self):
         ds = duplicated_feature_dataset()
@@ -159,11 +126,68 @@ class TestTreesEqualCanonical:
             )
             for s in range(6)
         ]
+        forms = [canonicalize(t) for t in trees]
         # symmetric + transitive: all pairwise equal because all equal tree 0
-        for t in trees[1:]:
-            assert trees_equal_canonical(trees[0], t)
-            assert trees_equal_canonical(t, trees[0])
-        assert trees_equal_canonical(trees[1], trees[2])
+        for form in forms[1:]:
+            assert forms[0] == form
+            assert form == forms[0]
+        assert forms[1] == forms[2]
+
+
+def _agreement(trees) -> int:
+    """Assert that counts-only equality is the reference's relation on every
+    pair of the trees; return the number of canonically equal but
+    bit-distinct pairs."""
+    forms = [(canonicalize(t), reference_canonicalize(t)) for t in trees]
+    distinct = 0
+    for (a, (form_a, ref_a)), (b, (form_b, ref_b)) in itertools.combinations(zip(trees, forms), 2):
+        same = form_a == form_b
+        assert same == (ref_a == ref_b)
+        distinct += same and not trees_equal_exact(a, b)
+    return distinct
+
+
+def _with_json_copies(forests: list[Forest]) -> list[DecisionTree]:
+    return [t for f in forests for t in (*f.trees, *forest_from_json(forest_to_json(f)).trees)]
+
+
+class TestAgreesWithReference:
+    """Counts-only canonical equality is the relation the float form decided."""
+
+    def test_pin_case_fits(self):
+        from test_pins import CASES, _case_forest
+
+        distinct = _agreement(_with_json_copies([_case_forest(c[0]) for c in CASES]))
+        # The fig1 and min-leaf7 tie-break pairs split on different copies
+        # of a feature with the same partitions.
+        assert distinct >= 1
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_sampled_fits(self, data):
+        # A coarse value grid makes ties within a feature, and repeated
+        # columns make ties across features.
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="data seed"))
+        n = data.draw(st.integers(8, 40), label="rows")
+        p = data.draw(st.integers(1, 3), label="distinct features")
+        values = gen.integers(0, 4, size=(n, p)).astype(np.float64)
+        features = np.hstack([values, values[:, : data.draw(st.integers(1, p), label="copies")]])
+        labels = gen.integers(0, data.draw(st.integers(2, 3), label="classes"), size=n)
+        ds = Dataset(features, labels, [f"f{i}" for i in range(features.shape[1])])
+        split = SplitIndices(train=tuple(range(n)), test=())
+        bootstrap = data.draw(st.booleans(), label="bootstrap")
+        base = dict(
+            n_trees=3,
+            mtry=data.draw(st.integers(1, ds.p), label="mtry"),
+            min_node_size=data.draw(st.integers(1, 4), label="min_node_size"),
+            node_size_semantics=data.draw(st.sampled_from(list(NodeSizeSemantics)), label="semantics"),
+            max_depth=data.draw(st.sampled_from([None, 1, 3]), label="max_depth"),
+            bootstrap=bootstrap,
+            sample_fraction=1.0 if bootstrap else 0.75,
+            seed=data.draw(st.integers(0, 2**16), label="seed"),
+        )
+        forests = [fit(ds, split, ForestConfig(**base, tie_break=tb)) for tb in TieBreak]
+        _agreement(_with_json_copies(forests))
 
 
 class _Fixture:

@@ -50,6 +50,7 @@ from helpers import (
     reference_grow_tree,
     state_with_draw,
     tiny_dataset,
+    weighted_child_impurity,
 )
 
 
@@ -212,8 +213,8 @@ class TestBestSplit:
         assert sp.threshold == 2.5
         assert sp.left_counts == (2, 0)
         assert sp.right_counts == (0, 2)
-        assert sp.weighted_child_impurity == 0.0
-        assert sp.impurity_decrease == pytest.approx(0.5, abs=1e-15)
+        assert weighted_child_impurity(sp) == 0.0
+        assert gini(parent) - weighted_child_impurity(sp) == pytest.approx(0.5, abs=1e-15)
         # and it is the unique oracle optimum
         oracle = exhaustive_split_oracle(ds, np.arange(4), parent)
         assert len(oracle) == 1
@@ -245,7 +246,7 @@ class TestBestSplit:
         assert sp.threshold == 2.5
         assert sp.left_counts == (1, 1)
         assert sp.right_counts == (0, 2)
-        assert sp.weighted_child_impurity == pytest.approx(0.25, abs=1e-15)
+        assert weighted_child_impurity(sp) == pytest.approx(0.25, abs=1e-15)
         assert gini(parent) == pytest.approx(0.375, abs=1e-15)
 
     def test_min_leaf_can_forbid_all_splits(self):
@@ -285,7 +286,7 @@ class TestBestSplit:
         # identical partitions: everything except the feature id matches
         assert first.threshold == lowest.threshold == 2.5
         assert first.left_counts == lowest.left_counts
-        assert first.weighted_child_impurity == lowest.weighted_child_impurity
+        assert weighted_child_impurity(first) == weighted_child_impurity(lowest)
         oracle = exhaustive_split_oracle(ds, rows, parent)
         assert first in oracle and lowest in oracle
         assert len(oracle) == 2
@@ -506,7 +507,7 @@ class TestBestSplitMatchesReference:
             got = best_split(ds, rows, [0, 1], parent, cfg, weights)
             assert got == reference_best_split(ds, rows, [0, 1], parent, cfg, weights)
             assert (got.feature, got.left_counts) == (1, (0, 2))
-            assert got.weighted_child_impurity < feature_0 <= got.weighted_child_impurity + TIE_TOL
+            assert weighted_child_impurity(got) < feature_0 <= weighted_child_impurity(got) + TIE_TOL
 
 
 class TestGrowOnCounts:
@@ -931,5 +932,5 @@ class TestOracleProperties:
         ds = duplicated_feature_dataset()
         parent = class_counts_of(ds.labels, ds.c)
         oracle = exhaustive_split_oracle(ds, np.arange(ds.n), parent)
-        ws = [s.weighted_child_impurity for s in oracle]
+        ws = [weighted_child_impurity(s) for s in oracle]
         assert max(ws) - min(ws) <= TIE_TOL

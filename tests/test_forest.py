@@ -823,7 +823,7 @@ class TestPickle:
 
     def test_nodes_take_no_new_attribute(self, forest):
         nodes = list(forest.trees[0].nodes) + list(canonicalize(forest.trees[0]))
-        nodes.append(Split(0, 0.5, (1,), (1,), 0.0, 0.5))
+        nodes.append(Split(0, 0.5, (1,), (1,)))
         assert {type(node).__name__ for node in nodes} == {"Leaf", "Internal", "CanonicalNode", "Split"}
         for node in nodes:
             with pytest.raises(dataclasses.FrozenInstanceError):

@@ -187,7 +187,7 @@ def test_hand_built_valid_tree_loads():
 def test_largest_exact_count_loads():
     forest = _load(_one_tree_doc([_leaf([2**53, 0])]))
     assert_valid_forest(forest)
-    assert canonicalize(forest.trees[0])[0].n_samples == 2**53
+    assert canonicalize(forest.trees[0])[0].class_counts == (2**53, 0)
 
 
 @pytest.mark.parametrize("nodes, message", [b[1:] for b in BAD_TREES], ids=[b[0] for b in BAD_TREES])

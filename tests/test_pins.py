@@ -81,62 +81,63 @@ CASES = [
 # (case id) -> sha256 of the forest's trees rendered by cli.tree_to_dot and
 # cli.tree_to_structured (concatenated in tree order) and of
 # repr(canonicalize(tree)) + "\n" per tree.  A change to how trees are held
-# in memory must leave all three unchanged.
+# in memory must leave all three unchanged.  Tie-break pairs whose trees
+# differ only in tied feature choices share the canonical hash.
 RENDER_PINS = {
     "table2-low": (
         "651be99e4a5544c29cb72d739eefb253a46089a816b2be60f6fac1df6b153ebf",
         "3ff4cddb708ced9bb9db9b04bf75cfe1a110ddaf565204e259123f623b553983",
-        "53a8d6494ed8db4416b866e717c2f6179986b28d96dedb096db2cc2a3226eafe",
+        "48bc99066bff4a524d4e09211476cdc57982b345e0c711313b812551f06e154f",
     ),
     "table2-first": (
         "b129fe9a366dbd59f0ca1e39c5e96e8d1b0b722a3c9e3735ad3138c6b9d87c96",
         "2e2f25754b5ff2a91883b52b18a80a35194d0c21c900f563d4da91eaf7a9693c",
-        "c8d552e996c1f0af4632d41be2a43e27f984876f7a374fc48f2d3cb0f262ea2e",
+        "b5ff150a4743f88f6e28b9081ca0150a99e3de4bd9fe60dd57ec553d49726977",
     ),
     "table3-low": (
         "e45c693805c382e2b88c25705d225cb4c735c1df9b815efa1b0c390f478c23b5",
         "197556ee16e1741c981a5f124a24fa7a40872041d5551610dec521d09d723986",
-        "0ef8d33ffe8ec6cb5acb6a113874834ffe09efbd1815ea853cb8d44ee39c790c",
+        "4377239664ea12fbac7e589950e021fc69b06da5db7734015e8c8fefd2b3feb6",
     ),
     "table3-first": (
         "73553d06906df6b2d6db0dee522b1cac10dc9e91383d6b19b00a2be31a90d0c1",
         "f5fb91b08140ec1fa718fd8ae5fe778ce6097b731ede02c3abe75b744f9777d9",
-        "a606f0886bd487d7de71745faa30931db6c14d510e3101413beabe8aba9a2652",
+        "886539182907c79c7d1951abaf3fa37ac1a9fbd31e2de61f5f57561f678ab389",
     ),
     "fig1-low": (
         "c6e34e60b366d62254c7058a17143f78f5472ae6a6ab4b2e793857ffb3faf54d",
         "925e38af8cc2005db61ae6e259a7f3162e18f6ce1609ab5e11d59002930f57d5",
-        "1cbd0e5323ea43af0ccbc6753addd1f4bd8c3395eb2fc65de4b8f0a63fb3dbfd",
+        "33af0abb1da91fe2dfc0a57226ddc612155401a72418b98551cea8efcf4d0d7d",
     ),
     "fig1-first": (
         "6331dddb2291829b60608954a6bb8965cb1f67a37ad3bb40b84584bbb894f363",
         "e3e35cd220ac665b4dfdf43e616515992ef0d6b8eab62034da32ebddbc4e7291",
-        "1cbd0e5323ea43af0ccbc6753addd1f4bd8c3395eb2fc65de4b8f0a63fb3dbfd",
+        "33af0abb1da91fe2dfc0a57226ddc612155401a72418b98551cea8efcf4d0d7d",
     ),
     "fig2-low": (
         "12d99bf0161f1965219b2d0680d78b73e817b67ac153eba4297c6b89b784594a",
         "05b80fc4a72809fc1b0fc596689eb9b194ab15f3ede302b2559d0a626bbd51bd",
-        "b585479d0fc8faa9fff0c6a81a7c697eb2a9f9c2e5f0dce4d61705f41baf9fea",
+        "e88afe8da20cc268752ff526c1999c491cb3f8c8eb91d5a01651c13eb1c0d355",
     ),
     "fig2-first": (
         "12d99bf0161f1965219b2d0680d78b73e817b67ac153eba4297c6b89b784594a",
         "05b80fc4a72809fc1b0fc596689eb9b194ab15f3ede302b2559d0a626bbd51bd",
-        "b585479d0fc8faa9fff0c6a81a7c697eb2a9f9c2e5f0dce4d61705f41baf9fea",
+        "e88afe8da20cc268752ff526c1999c491cb3f8c8eb91d5a01651c13eb1c0d355",
     ),
     "min-leaf7-low": (
         "651314945b46683ebfd26dd54b95d58647bac060fb3d89a5f4ef202b02d5977c",
         "8d3e36eaa7df121e6aa1e2783e1d25a70b24c5adaf221608c553e7605cf9dd2d",
-        "03fb3834b60b12a707fbf5d0a9662740845aa8e396680dabd546b34f80597196",
+        "37a2ac6c20be8c04ddfaacac48d8a24b7c7f4126e9448693ee69ee68fc76a920",
     ),
     "min-leaf7-first": (
         "6792936905629b019bf2c7cbcba8fcc147b7e91836304f7527fb5ff91c1a3b20",
         "4d454d89d5c70b0af6ef54e3f6fa167df624b5fac8c9b1daf947b643ca85c73b",
-        "03fb3834b60b12a707fbf5d0a9662740845aa8e396680dabd546b34f80597196",
+        "37a2ac6c20be8c04ddfaacac48d8a24b7c7f4126e9448693ee69ee68fc76a920",
     ),
     "subsample-no-replace": (
         "e4d2c226a2eacfd1f9d3d50cbeb104d3335bb8b3a2f9e331c1175a4d42a351c9",
         "ab0124ef95590623af0a4b6eb851d97721868e002f180424bf2d318a1095c1f0",
-        "252204ba6f803c1fce3e4847ff44fd9f01509e8dc529c02d226c5c7f1fe0fbfe",
+        "e6a0a7a84c534ee4803438523b7737f9c05d9bc7143259ec890229de301353df",
     ),
 }
 
