@@ -7,12 +7,10 @@ that fingerprint — feature indices, thresholds and impurities are
 deliberately excluded — so "identical up to tied splits" becomes a decidable
 equality.
 
-The form holds integers only.  It is defined for trees whose stored gini is
-gini(class_counts), which `grow_tree` computes and `forest_from_json`
-enforces.  A node's gini and a split's impurity decrease are then functions
-of counts that the form already holds, so comparing counts exactly decides
-equality, and an independent implementation reproduces it without copying
-any float operation order.
+The form holds integers only.  A node's gini and a split's impurity
+decrease are functions of class counts that the form already holds, so
+comparing counts exactly decides equality, and an independent
+implementation reproduces it without copying any float operation order.
 
 Forest diffing counts, per pair of forests, the test rows they classify
 differently, and renders the counts as an upper-triangular matrix.
@@ -21,6 +19,7 @@ differently, and renders the counts as an upper-triangular matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -46,9 +45,7 @@ CanonicalTree = tuple[CanonicalNode, ...]
 def canonicalize(tree: DecisionTree) -> CanonicalTree:
     """Map every node to its CanonicalNode, in preorder.
 
-    Defined for trees whose stored gini is gini(class_counts) (see the
-    module docstring); two such trees are canonically equal iff
-    canonicalize(a) == canonicalize(b).
+    Two trees are canonically equal iff canonicalize(a) == canonicalize(b).
     """
     return tuple(
         CanonicalNode(depth, node.class_counts, isinstance(node, Internal))
@@ -148,16 +145,7 @@ def forest_divergence(
     preds = [np.asarray(predict_classes(f, features, aggregation)) for _, f in forests]
 
     pairs = []
-    for i in range(len(forests)):
-        for j in range(i + 1, len(forests)):
-            diverge = preds[i] != preds[j]
-            divergent_rows = tuple(int(r) for r in idx[diverge])
-            pairs.append(
-                PairDivergence(
-                    label_a=labels[i],
-                    label_b=labels[j],
-                    n_divergent=len(divergent_rows),
-                    rows=divergent_rows,
-                )
-            )
+    for i, j in combinations(range(len(forests)), 2):
+        rows_ij = tuple(idx[preds[i] != preds[j]].tolist())
+        pairs.append(PairDivergence(labels[i], labels[j], len(rows_ij), rows_ij))
     return DivergenceReport(labels=tuple(labels), n_test=int(idx.size), pairs=tuple(pairs))

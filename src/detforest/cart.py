@@ -89,13 +89,12 @@ class Split:
 
 @dataclass(frozen=True, slots=True)
 class Leaf:
-    n_samples: int
     class_counts: tuple[int, ...]
-    gini: float
 
     @property
     def class_distribution(self) -> tuple[float, ...]:
-        return tuple(count / self.n_samples for count in self.class_counts)
+        total = sum(self.class_counts)
+        return tuple(count / total for count in self.class_counts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,8 +105,6 @@ class Internal:
     threshold: float
     left: int
     right: int
-    n_samples: int
-    gini: float
     class_counts: tuple[int, ...]
 
 
@@ -120,7 +117,8 @@ class DecisionTree:
 
     nodes[0] is the root, and the left child of an internal node i is node
     i + 1.  Nothing in a tree refers to another node object, so equality,
-    hashing and copying never recurse.
+    hashing and copying never recurse.  A node's size and impurity are
+    sum(class_counts) and gini(class_counts), so no node stores them.
     """
 
     nodes: tuple[TreeNode, ...]
@@ -338,29 +336,28 @@ def grow_tree(ds: Dataset, row_indices: np.ndarray, cfg: ForestConfig, rng: RngS
     while work:
         node_rows, node_weights, counts, depth, parent = work.pop()
         if parent is not None:
-            i, sp, n_samples, pg, pc = parent
-            nodes[i] = Internal(sp.feature, sp.threshold, i + 1, len(nodes), n_samples, pg, pc)
-        g = gini(counts)
+            i, sp, pc = parent
+            nodes[i] = Internal(sp.feature, sp.threshold, i + 1, len(nodes), pc)
         total = sum(counts)
         if (
             max(counts) == total
             or (cfg.max_depth is not None and depth >= cfg.max_depth)
             or (cfg.node_size_semantics is NodeSizeSemantics.MIN_SPLIT and total < cfg.min_node_size)
         ):
-            nodes.append(Leaf(total, counts, g))
+            nodes.append(Leaf(counts))
             continue
 
         # The first mtry entries of the node's permutation, as draw_candidates.
         candidates = permute(next(partner_rows))[:mtry]
         sp = best_split(ds, node_rows, candidates, counts, cfg, node_weights)
         if sp is None:
-            nodes.append(Leaf(total, counts, g))
+            nodes.append(Leaf(counts))
             continue
 
         mask = ds.features[node_rows, sp.feature] <= sp.threshold
         # LIFO: the left child lands on top so it is grown first, right
         # after its parent's slot.
-        parent = (len(nodes), sp, total, g, counts)
+        parent = (len(nodes), sp, counts)
         work.append((node_rows[~mask], node_weights[~mask], sp.right_counts, depth + 1, parent))
         work.append((node_rows[mask], node_weights[mask], sp.left_counts, depth + 1, None))
         nodes.append(None)
@@ -380,8 +377,8 @@ def iter_nodes(tree: DecisionTree):
 def trees_equal_exact(a: DecisionTree, b: DecisionTree) -> bool:
     """True iff the trees have identical structure and bit-identical fields.
 
-    Thresholds and impurities are compared as exact floats; this is the
-    strong notion of equality (the canonical one lives in `canonical`).
+    Thresholds are compared as exact floats and class counts as integers;
+    this is the strong notion of equality (the canonical one lives in `canonical`).
     """
     return (a.n_features, a.n_classes, a.nodes) == (b.n_features, b.n_classes, b.nodes)
 

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Callable
 
 from .canonical import DivergenceReport, canonicalize, forest_divergence
-from .cart import DecisionTree, Internal, Leaf, NodeSizeSemantics, TieBreak, trees_equal_exact
+from .cart import DecisionTree, Internal, Leaf, NodeSizeSemantics, TieBreak, gini, trees_equal_exact
 from .dataset import (
     Dataset,
     SplitIndices,
@@ -143,14 +143,14 @@ PRESETS: dict[str, ExperimentPreset] = {
                 (
                     f"some leaf smaller than {_NODE_SIZE}",
                     lambda cfg, run: any(
-                        isinstance(node, Leaf) and node.n_samples < cfg.min_node_size
+                        isinstance(node, Leaf) and sum(node.class_counts) < cfg.min_node_size
                         for node in run.forests[0].trees[0].nodes
                     ),
                 ),
                 (
                     f"every split node at least {_NODE_SIZE}",
                     lambda cfg, run: all(
-                        isinstance(node, Leaf) or node.n_samples >= cfg.min_node_size
+                        isinstance(node, Leaf) or sum(node.class_counts) >= cfg.min_node_size
                         for node in run.forests[0].trees[0].nodes
                     ),
                 ),
@@ -163,7 +163,7 @@ PRESETS: dict[str, ExperimentPreset] = {
             expectations=((
                 f"every leaf at least {_NODE_SIZE}",
                 lambda cfg, run: all(
-                    isinstance(node, Internal) or node.n_samples >= cfg.min_node_size
+                    isinstance(node, Internal) or sum(node.class_counts) >= cfg.min_node_size
                     for node in run.forests[0].trees[0].nodes
                 ),
             ),),
@@ -321,15 +321,11 @@ def tree_to_dot(tree: DecisionTree) -> str:
     entries: list[str] = []
     parent = [-1] * len(tree.nodes)
     for nid, node in enumerate(tree.nodes):
-        counts = list(node.class_counts)
+        counts = node.class_counts
+        label = f"n={sum(counts)} | gini={gini(counts):.6g} | counts={list(counts)}"
         if isinstance(node, Internal):
-            label = (
-                f"f{node.feature} ≤ {node.threshold!r} | n={node.n_samples} "
-                f"| gini={node.gini:.6g} | counts={counts}"
-            )
+            label = f"f{node.feature} ≤ {node.threshold!r} | {label}"
             parent[node.left] = parent[node.right] = nid
-        else:
-            label = f"n={node.n_samples} | gini={node.gini:.6g} | counts={counts}"
         entries.append(f'  n{nid} [label="{label}"];')
     edges = [f"  n{parent[nid]} -> n{nid};" for nid in range(1, len(tree.nodes))]
     return "\n".join(["digraph tree {", "  node [shape=box];", *entries, *edges, "}"]) + "\n"
@@ -639,8 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="tree-building threads, at most one per tree and per CPU: identical bytes for "
-        "any count, but no speed-up today "
-        "(8 desk trees took 0.7-1.0 s with 1 worker, 1.44 s with 2 and 1.9 s with 4)",
+        "any count, but no speed-up today (timings in the README, Parallelism)",
     )
     p.add_argument("--out-dir", default="detforest-out", help="output directory")
     _add_csv_flags(p)

@@ -12,7 +12,8 @@ can legitimately classify a sample differently; with fully grown pure
 leaves they coincide.
 
 Forests serialize to a versioned JSON document holding each tree's
-preorder node list as it is kept in memory, so the bytes are a stable
+preorder node list as it is kept in memory, each node with its n_samples
+and gini computed from its class counts, so the bytes are a stable
 function of the forest alone.
 """
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -288,9 +290,9 @@ def accuracy(
 # --------------------------------------------------------------------------
 # Serialization.  A tree is stored as its preorder node list, children by
 # index, exactly as it is held in memory; json round-trips floats through
-# repr, which is exact.  Loading checks every field's JSON type and every
-# tree invariant, so a document either loads into a valid forest or raises
-# ValueError.
+# repr, which is exact.  Loading checks every key, every field's JSON type
+# and every tree invariant, so a document either loads into a valid forest
+# or raises ValueError.
 
 
 def _int(value, what: str) -> int:
@@ -306,25 +308,40 @@ def _float(value, what: str) -> float:
     raise ValueError(f"{what} must be a number, got {value!r}")
 
 
-# A node's fields are its document's keys, read once per node class.
-_NODE_FIELDS = {cls: cls.__slots__ for cls in (Leaf, Internal)}
+def _object(doc, keys: frozenset[str], what: str) -> dict:
+    """doc if it is a JSON object with exactly these keys (TypeError if not an object)."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"{what} is not a JSON object")
+    if doc.keys() != keys:
+        raise ValueError(f"{what} has keys {sorted(doc)}, expected {sorted(keys)}")
+    return doc
+
+
+# A node document holds its node's fields plus n_samples and gini, which the
+# writer computes from the class counts and the loader checks against them.
+_LEAF_KEYS = frozenset({"class_counts", "n_samples", "gini"})
+_SPLIT_KEYS = _LEAF_KEYS | {"feature", "threshold", "left", "right"}
 
 
 def _tree_to_doc(tree: DecisionTree) -> dict:
     nodes = []
     for node in tree.nodes:
-        nd = {name: getattr(node, name) for name in _NODE_FIELDS[type(node)]}
-        nd["class_counts"] = list(node.class_counts)
+        counts = node.class_counts
+        nd = {"class_counts": list(counts), "n_samples": sum(counts), "gini": gini(counts)}
+        if isinstance(node, Internal):
+            nd.update(feature=node.feature, threshold=node.threshold, left=node.left, right=node.right)
         nodes.append(nd)
     return {"nodes": nodes}
 
 
 def _tree_from_doc(doc: dict, n_features: int, n_classes: int) -> DecisionTree:
-    raw = doc["nodes"]
+    raw = _object(doc, frozenset({"nodes"}), "tree document")["nodes"]
     if not isinstance(raw, list) or not raw:
         raise ValueError("tree document has no nodes")
     nodes: list[Leaf | Internal] = []
     for i, nd in enumerate(raw):
+        is_split = "feature" in nd
+        _object(nd, _SPLIT_KEYS if is_split else _LEAF_KEYS, f"node {i}")
         counts = tuple(_int(v, f"node {i} class count") for v in nd["class_counts"])
         total = _int(nd["n_samples"], f"node {i} n_samples")
         g = _float(nd["gini"], f"node {i} gini")
@@ -333,8 +350,8 @@ def _tree_from_doc(doc: dict, n_features: int, n_classes: int) -> DecisionTree:
             raise ValueError(f"node {i} has n_samples {total} and class counts {list(counts)}")
         if g != gini(counts):
             raise ValueError(f"node {i} stores gini {g!r}, not the gini of its class counts")
-        if "feature" not in nd:
-            nodes.append(Leaf(total, counts, g))
+        if not is_split:
+            nodes.append(Leaf(counts))
             continue
         feature = _int(nd["feature"], f"node {i} feature")
         threshold = _float(nd["threshold"], f"node {i} threshold")
@@ -343,7 +360,7 @@ def _tree_from_doc(doc: dict, n_features: int, n_classes: int) -> DecisionTree:
         if not math.isfinite(threshold):
             raise ValueError(f"node {i} has non-finite threshold {threshold!r}")
         left, right = _int(nd["left"], f"node {i} left"), _int(nd["right"], f"node {i} right")
-        nodes.append(Internal(feature, threshold, left, right, total, g, counts))
+        nodes.append(Internal(feature, threshold, left, right, counts))
 
     # One walk from the root, left child first, must meet node k at step k
     # and every node once: this rejects shared children, cycles and orphans.
@@ -370,14 +387,11 @@ def _config_to_doc(cfg: ForestConfig) -> dict:
 def _config_from_doc(doc: dict) -> ForestConfig:
     # ForestConfig rejects every field of the wrong type.  Each enum field's
     # default is a member, so its type reads the stored value back.
-    values = {}
+    values = dict(_object(doc, frozenset(field.name for field in fields(ForestConfig)), "config"))
+    values["sample_fraction"] = _float(doc["sample_fraction"], "config sample_fraction")
     for field in fields(ForestConfig):
-        value = doc[field.name]
         if isinstance(field.default, Enum):
-            value = type(field.default)(value)
-        elif field.name == "sample_fraction":
-            value = _float(value, "config sample_fraction")
-        values[field.name] = value
+            values[field.name] = type(field.default)(doc[field.name])
     return ForestConfig(**values)
 
 
@@ -388,18 +402,16 @@ def forest_from_json(text: str) -> Forest:
     replaced by None, freeing its document, once its tree is built.
     """
     doc = read_json(text, "forest document")
-    if not isinstance(doc, dict) or doc.get("schema") != FOREST_SCHEMA:
-        raise ValueError(
-            f"not a {FOREST_SCHEMA} document (schema={doc.get('schema')!r})"
-            if isinstance(doc, dict)
-            else "forest document must be a JSON object"
-        )
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != FOREST_SCHEMA:
+        raise ValueError(f"not a {FOREST_SCHEMA} document (schema={schema!r})")
     try:
+        _object(doc, frozenset({"schema", "n_features", "n_classes", "config", "trees"}), "forest document")
         n_features = _int(doc["n_features"], "n_features")
         n_classes = _int(doc["n_classes"], "n_classes")
         config = _config_from_doc(doc["config"])
         config.resolved_mtry(n_features)  # rejects n_features < 1 and an mtry above it
-        tree_docs = doc.get("trees")
+        tree_docs = doc["trees"]
         if not isinstance(tree_docs, list):
             raise ValueError("forest document has no list of trees")
         if len(tree_docs) != config.n_trees:
@@ -440,9 +452,16 @@ def dump_json(doc) -> str:
 
 
 def read_json(text: str, what: str):
-    """json.loads for an untrusted file: nesting too deep to parse raises ValueError."""
+    """json.loads for an untrusted file: a duplicate key, where json would keep
+    the last value, or nesting too deep to parse raises ValueError."""
+    def unique_keys(pairs: list) -> dict:
+        if len(obj := dict(pairs)) == len(pairs):
+            return obj
+        key = Counter(k for k, _ in pairs).most_common(1)[0][0]
+        raise ValueError(f"{what} has duplicate key {key!r}")
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except RecursionError:
         raise ValueError(f"{what} is nested too deeply") from None
 

@@ -159,35 +159,32 @@ def reference_grow_tree(
     while work:
         node_idx, depth, parent = work.pop()
         if parent is not None:
-            i, sp, parent_counts, parent_gini = parent
+            i, sp, parent_counts = parent
             nodes[i] = Internal(
                 feature=sp.feature,
                 threshold=sp.threshold,
                 left=i + 1,
                 right=len(nodes),
-                n_samples=sum(parent_counts),
-                gini=parent_gini,
                 class_counts=parent_counts,
             )
         counts = class_counts_of(ds.labels[node_idx], ds.c)
-        g = gini(counts)
         total = sum(counts)
         if (
             max(counts) == total
             or (cfg.max_depth is not None and depth >= cfg.max_depth)
             or (cfg.node_size_semantics is NodeSizeSemantics.MIN_SPLIT and total < cfg.min_node_size)
         ):
-            nodes.append(Leaf(total, counts, g))
+            nodes.append(Leaf(counts))
             continue
 
         candidates, rng = draw_candidates(rng, ds.p, mtry)
         sp = best_split(ds, node_idx, candidates, counts, cfg)
         if sp is None:
-            nodes.append(Leaf(total, counts, g))
+            nodes.append(Leaf(counts))
             continue
 
         mask = ds.features[node_idx, sp.feature] <= sp.threshold
-        work.append((node_idx[~mask], depth + 1, (len(nodes), sp, counts, g)))
+        work.append((node_idx[~mask], depth + 1, (len(nodes), sp, counts)))
         work.append((node_idx[mask], depth + 1, None))
         nodes.append(None)
 
@@ -239,7 +236,10 @@ def forest_to_doc(f: Forest) -> dict:
 
 
 def _node_doc(node: TreeNode) -> dict:
-    return {**dataclasses.asdict(node), "class_counts": list(node.class_counts)}
+    """A node's fields, with n_samples and gini computed from its class counts."""
+    counts = node.class_counts
+    from_counts = {"class_counts": list(counts), "n_samples": sum(counts), "gini": gini(counts)}
+    return {**dataclasses.asdict(node), **from_counts}
 
 
 def _round10(x: float) -> float:
@@ -253,18 +253,20 @@ def reference_canonicalize(tree: DecisionTree) -> tuple:
     Per node, in preorder: (depth, n_samples, class counts, gini rounded to
     10 significant digits, split signature).  A split node's signature is
     (its impurity decrease, rounded the same way, left child size, right
-    child size), recomputed from the stored node fields; a leaf's is None.
+    child size); sizes and ginis are computed from the nodes' class counts.
+    A leaf's signature is None.
     """
     out = []
     for node, depth in iter_nodes(tree):
+        n, g = sum(node.class_counts), gini(node.class_counts)
         if isinstance(node, Internal):
-            left, right = tree.nodes[node.left], tree.nodes[node.right]
-            nl, nr = left.n_samples, right.n_samples
-            weighted = (nl * left.gini + nr * right.gini) / node.n_samples
-            signature = (_round10(node.gini - weighted), nl, nr)
+            left, right = tree.nodes[node.left].class_counts, tree.nodes[node.right].class_counts
+            nl, nr = sum(left), sum(right)
+            weighted = (nl * gini(left) + nr * gini(right)) / n
+            signature = (_round10(g - weighted), nl, nr)
         else:
             signature = None
-        out.append((depth, node.n_samples, node.class_counts, _round10(node.gini), signature))
+        out.append((depth, n, node.class_counts, _round10(g), signature))
     return tuple(out)
 
 

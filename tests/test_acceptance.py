@@ -198,22 +198,22 @@ def test_criterion_5_node_size_semantics_shape_shallow_trees(capfd):
         # leaf below 1000
         undersized_child = False
         for node, _ in iter_nodes(fig1):
-            if isinstance(node, Internal) and node.n_samples >= 1000:
+            if isinstance(node, Internal) and sum(node.class_counts) >= 1000:
                 for child in (fig1.nodes[node.left], fig1.nodes[node.right]):
-                    if isinstance(child, Leaf) and child.n_samples < 1000:
+                    if isinstance(child, Leaf) and sum(child.class_counts) < 1000:
                         undersized_child = True
         assert undersized_child, (
             "min-split tree should contain a >=1000 node with a <1000 child leaf"
         )
         assert all(
-            node.n_samples >= 1000
+            sum(node.class_counts) >= 1000
             for node, _ in iter_nodes(fig1)
             if isinstance(node, Internal)
         )
 
         # fig2 (min-leaf): no leaf below the floor
         assert all(
-            node.n_samples >= 1000
+            sum(node.class_counts) >= 1000
             for node, _ in iter_nodes(fig2)
             if isinstance(node, Leaf)
         )

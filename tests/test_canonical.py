@@ -25,7 +25,6 @@ from detforest import (
     forest_from_json,
     forest_to_json,
     generate_synthetic_formulas,
-    gini,
     grow_tree,
     predict_classes,
     train_test_split,
@@ -37,7 +36,7 @@ from helpers import duplicated_feature_dataset, reference_canonicalize, tiny_dat
 
 
 def _leaf(counts):
-    return Leaf(n_samples=sum(counts), class_counts=tuple(counts), gini=gini(tuple(counts)))
+    return Leaf(class_counts=tuple(counts))
 
 
 def _single_leaf_tree(counts):
@@ -66,10 +65,10 @@ class TestCanonicalize:
         left = _leaf([2, 0])
         right = _leaf([0, 2])
         t1 = DecisionTree(
-            nodes=(Internal(0, 2.5, 1, 2, 4, 0.5, (2, 2)), left, right), n_features=2, n_classes=2
+            nodes=(Internal(0, 2.5, 1, 2, (2, 2)), left, right), n_features=2, n_classes=2
         )
         t2 = DecisionTree(
-            nodes=(Internal(1, 7.0, 1, 2, 4, 0.5, (2, 2)), left, right), n_features=2, n_classes=2
+            nodes=(Internal(1, 7.0, 1, 2, (2, 2)), left, right), n_features=2, n_classes=2
         )
         assert not trees_equal_exact(t1, t2)
         assert canonicalize(t1) == canonicalize(t2)

@@ -153,7 +153,7 @@ class TestMidpoints:
         root = tree.nodes[0]
         assert isinstance(root, Internal)
         assert np.isfinite(root.threshold)
-        assert tree.nodes[root.left].n_samples == 2 and tree.nodes[root.right].n_samples == 2
+        assert tree.nodes[root.left].class_counts == (2, 0) and tree.nodes[root.right].class_counts == (0, 2)
         assert predict_leaf(tree, np.array([1.1e308])).class_counts == (2, 0)
         assert predict_leaf(tree, np.array([1.6e308])).class_counts == (0, 2)
 
@@ -634,9 +634,7 @@ class TestGrowTree:
         assert isinstance(root, Internal)
         assert root.feature == 0
         assert root.threshold == 2.5
-        assert root.n_samples == 4
         assert root.class_counts == (2, 2)
-        assert root.gini == pytest.approx(0.5, abs=1e-15)
         left, right = tree.nodes[root.left], tree.nodes[root.right]
         assert isinstance(left, Leaf) and isinstance(right, Leaf)
         assert left.class_counts == (2, 0)
@@ -647,7 +645,6 @@ class TestGrowTree:
         ds = tiny_dataset([[1.0, 2.0]], [0, 1])
         tree = grow_tree(ds, np.array([1]), _grow_cfg(), derive_stream(0, 0))
         assert isinstance(tree.nodes[0], Leaf)
-        assert tree.nodes[0].n_samples == 1
         assert tree.nodes[0].class_counts == (0, 1)
 
     def test_determinism_same_stream(self):
@@ -671,7 +668,7 @@ class TestGrowTree:
         # Fully grown with min size 1: every leaf is pure.
         for node, _ in iter_nodes(tree):
             if isinstance(node, Leaf):
-                assert max(node.class_counts) == node.n_samples
+                assert max(node.class_counts) == sum(node.class_counts)
 
     @pytest.mark.parametrize(
         "cfg",
@@ -692,8 +689,6 @@ class TestGrowTree:
     def _check_invariants(self, ds: Dataset, tree, cfg: ForestConfig) -> None:
         assert tree.n_features == ds.p
         assert tree.n_classes == ds.c
-        root = tree.nodes[0]
-        root_n = root.n_samples
         for node, depth in iter_nodes(tree):
             if cfg.max_depth is not None:
                 assert depth <= cfg.max_depth
@@ -702,25 +697,23 @@ class TestGrowTree:
                     assert depth < cfg.max_depth
                 left, right = tree.nodes[node.left], tree.nodes[node.right]
                 # sample conservation, child side
-                assert left.n_samples + right.n_samples == node.n_samples
                 assert tuple(
                     l + r
                     for l, r in zip(_counts(left), _counts(right))
                 ) == node.class_counts
                 assert 0 <= node.feature < ds.p
                 if cfg.node_size_semantics is NodeSizeSemantics.MIN_SPLIT:
-                    assert node.n_samples >= cfg.min_node_size
+                    assert _size(node) >= cfg.min_node_size
                 else:
-                    assert left.n_samples >= cfg.min_node_size
-                    assert right.n_samples >= cfg.min_node_size
-                assert left.n_samples >= 1
-                assert right.n_samples >= 1
+                    assert _size(left) >= cfg.min_node_size
+                    assert _size(right) >= cfg.min_node_size
+                assert _size(left) >= 1
+                assert _size(right) >= 1
             else:
-                assert node.n_samples == sum(node.class_counts)
                 assert node.class_distribution == tuple(
-                    cnt / node.n_samples for cnt in node.class_counts
+                    cnt / _size(node) for cnt in node.class_counts
                 )
-        assert root_n == ds.n
+        assert _size(tree.nodes[0]) == ds.n
 
     def test_deep_chain_grows_iteratively(self):
         # Alternating labels on a strictly increasing feature force a comb:
@@ -782,6 +775,10 @@ class TestGrowTree:
 
 def _counts(node) -> tuple[int, ...]:
     return node.class_counts
+
+
+def _size(node) -> int:
+    return sum(node.class_counts)
 
 
 class TestIterNodes:
@@ -864,9 +861,9 @@ class TestTreesEqualExact:
     def test_child_index_difference_detected(self):
         # Every field of every node is the same except the root's right
         # child index: the node lists describe different trees.
-        leaves = (Leaf(2, (2, 0), 0.0), Leaf(2, (0, 2), 0.0))
-        a = DecisionTree((Internal(0, 2.5, 1, 2, 4, 0.5, (2, 2)), *leaves), 1, 2)
-        b = DecisionTree((Internal(0, 2.5, 1, 1, 4, 0.5, (2, 2)), *leaves), 1, 2)
+        leaves = (Leaf((2, 0)), Leaf((0, 2)))
+        a = DecisionTree((Internal(0, 2.5, 1, 2, (2, 2)), *leaves), 1, 2)
+        b = DecisionTree((Internal(0, 2.5, 1, 1, (2, 2)), *leaves), 1, 2)
         assert trees_equal_exact(a, a)
         assert not trees_equal_exact(a, b)
         assert not trees_equal_exact(b, a)
@@ -891,7 +888,7 @@ class TestPredictLeaf:
         for i in range(ds.n):
             leaf = predict_leaf(tree, ds.features[i])
             # fully grown, min size 1: leaves are pure
-            assert leaf.class_counts[ds.labels[i]] == leaf.n_samples
+            assert leaf.class_counts[ds.labels[i]] == sum(leaf.class_counts)
 
     def test_dimension_mismatch_rejected(self):
         ds = tiny_dataset([[1.0, 2.0]], [0, 1])

@@ -263,12 +263,12 @@ class TestFit:
         )
         f = fit(ds, split, cfg)
         for tree in f.trees:
-            assert tree.nodes[0].n_samples == len(split.train)
+            assert sum(tree.nodes[0].class_counts) == len(split.train)
 
     def test_bootstrap_trees_see_resampled_rows(self):
         ds, split = self._small()
         f = fit(ds, split, ForestConfig(n_trees=3, seed=4))
-        assert all(t.nodes[0].n_samples == len(split.train) for t in f.trees)
+        assert all(sum(t.nodes[0].class_counts) == len(split.train) for t in f.trees)
         # With replacement the trees almost surely differ from one another.
         assert not trees_equal_exact(f.trees[0], f.trees[1])
 
@@ -279,7 +279,7 @@ class TestFit:
             ForestConfig(n_trees=2, bootstrap=False, sample_fraction=0.5),
         )
         expected = round(0.5 * len(split.train))
-        assert all(t.nodes[0].n_samples == expected for t in f.trees)
+        assert all(sum(t.nodes[0].class_counts) == expected for t in f.trees)
 
     def test_metadata_recorded(self):
         ds, split = self._small()
@@ -400,7 +400,7 @@ class TestRowIndices:
 
 
 def _leaf(counts: tuple[int, ...]) -> Leaf:
-    return Leaf(n_samples=sum(counts), class_counts=counts, gini=0.0)
+    return Leaf(class_counts=counts)
 
 
 def _leaf_forest(leaf_counts: list[tuple[int, ...]], n_classes: int,
@@ -413,6 +413,13 @@ def _leaf_forest(leaf_counts: list[tuple[int, ...]], n_classes: int,
     )
     cfg = ForestConfig(n_trees=len(trees), aggregation=aggregation)
     return Forest(trees=trees, config=cfg, n_features=1, n_classes=n_classes)
+
+
+def _split_forest(threshold: float) -> Forest:
+    """One tree: x[0] <= threshold reaches a class-0 leaf, anything else a class-1 leaf."""
+    root = Internal(feature=0, threshold=threshold, left=1, right=2, class_counts=(1, 1))
+    tree = DecisionTree(nodes=(root, _leaf((1, 0)), _leaf((0, 1))), n_features=1, n_classes=2)
+    return Forest(trees=(tree,), config=ForestConfig(n_trees=1), n_features=1, n_classes=2)
 
 
 X = np.array([[0.0]])
@@ -514,10 +521,7 @@ class TestAggregation:
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint64, np.float16, np.float32])
     def test_integer_and_float_input_accepted(self, dtype):
-        root = Internal(feature=0, threshold=1.5, left=1, right=2,
-                        n_samples=2, gini=0.5, class_counts=(1, 1))
-        tree = DecisionTree(nodes=(root, _leaf((1, 0)), _leaf((0, 1))), n_features=1, n_classes=2)
-        f = Forest(trees=(tree,), config=ForestConfig(n_trees=1), n_features=1, n_classes=2)
+        f = _split_forest(1.5)
         rows = np.array([[0], [1], [2]], dtype=dtype)
         for features in (rows, rows.tolist()):
             assert predict_classes(f, features) == [0, 0, 1]
@@ -532,7 +536,7 @@ class TestBatchedPrediction:
         ds = generate_synthetic_formulas(300, 6, 4)
         split = train_test_split(ds, 0.7, 4)
         f = fit(ds, split, ForestConfig(n_trees=9, max_depth=max_depth, seed=4))
-        impure = any(max(leaf.class_counts) < leaf.n_samples
+        impure = any(max(leaf.class_counts) < sum(leaf.class_counts)
                      for tree in f.trees for leaf, _ in iter_nodes(tree) if isinstance(leaf, Leaf))
         assert impure == (max_depth is not None)
         rows = ds.features
@@ -570,10 +574,7 @@ class TestBatchedPrediction:
         assert predict_classes(f, rows, MEAN) == [1, 1, 1]
 
     def test_value_equal_to_threshold_goes_left(self):
-        root = Internal(feature=0, threshold=2.0, left=1, right=2,
-                        n_samples=2, gini=0.5, class_counts=(1, 1))
-        tree = DecisionTree(nodes=(root, _leaf((1, 0)), _leaf((0, 1))), n_features=1, n_classes=2)
-        f = Forest(trees=(tree,), config=ForestConfig(n_trees=1), n_features=1, n_classes=2)
+        f = _split_forest(2.0)
         rows = np.array([[2.0], [np.nextafter(2.0, 3.0)], [0.0]])
         for agg in Aggregation:
             assert predict_classes(f, rows, agg) == [0, 1, 0]
@@ -677,6 +678,12 @@ class TestSerialization:
         )
         g = forest_from_json(forest_to_json(f))
         assert trees_equal_exact(f.trees[0], g.trees[0])
+
+    def test_hand_built_forests_round_trip(self):
+        # A hand-built node stores no n_samples or gini that could disagree
+        # with its counts, so its file loads back into the same forest.
+        for f in (_leaf_forest([(3, 1), (1, 3)], 2), _split_forest(1.5), _split_forest(2.0)):
+            assert forest_from_json(forest_to_json(f)) == f
 
     def test_bad_schema_rejected(self):
         doc = forest_to_doc(self._forest())
@@ -792,7 +799,7 @@ class TestOneTreeAtATime:
             with pytest.raises(ValueError, match="no list of trees"):
                 forest_from_json(json.dumps({**doc, "trees": trees}))
         del doc["trees"]
-        with pytest.raises(ValueError, match="no list of trees"):
+        with pytest.raises(ValueError, match="forest document has keys"):
             forest_from_json(json.dumps(doc))
 
     def test_writer_peak_is_below_the_document(self, forest20):

@@ -194,6 +194,8 @@ SPLIT_CASES = {
     "train-string": '{"schema": "detforest.split.v1", "train": "012345", "test": [6, 7]}',
     "nested-index": '{"schema": "detforest.split.v1", "train": [0, [1], 2, 3, 4, 5], "test": [6, 7]}',
     "deep-train": '{"schema": "detforest.split.v1", "train": ' + DEEP + ', "test": [6, 7]}',
+    # json alone keeps the last train list, which makes a valid split.
+    "duplicate-train": '{"schema": "detforest.split.v1", "train": [7], "test": [6, 7], "train": [0, 1, 2, 3, 4, 5]}',
 }
 
 

@@ -3,7 +3,8 @@
 Forest files are untrusted input.  These tests mutate one field of a small
 valid document (a child index, a count, n_samples, gini, a deleted key, a
 wrong JSON type, NaN or Infinity) and check that the loader either rejects
-it with ValueError or returns a forest that meets every tree invariant.  A
+it with ValueError or returns a forest that meets every tree invariant and
+writes the same document back.  Unknown and duplicate keys are rejected.  A
 rejected file makes the CLI exit with code 2 and print no traceback.
 """
 
@@ -104,9 +105,7 @@ def assert_valid_forest(forest: detforest.Forest) -> None:
         for k, (node, depth) in enumerate(iter_nodes(tree)):
             assert node is nodes[k] and depth == depths[k]
             counts = node.class_counts
-            assert len(counts) == forest.n_classes and min(counts) >= 0
-            assert node.n_samples == sum(counts) >= 1
-            assert node.gini == gini(counts)
+            assert len(counts) == forest.n_classes and min(counts) >= 0 and sum(counts) >= 1
             if isinstance(node, Internal):
                 assert node.left == k + 1
                 left, right = nodes[node.left], nodes[node.right]
@@ -132,11 +131,15 @@ def test_valid_document_loads_and_round_trips():
     ),
 )
 def test_one_mutated_field_loads_valid_or_raises_value_error(path, mutation):
+    doc = _mutate(VALID, path, mutation)
     try:
-        forest = _load(_mutate(VALID, path, mutation))
+        forest = _load(doc)
     except ValueError:
         return
     assert_valid_forest(forest)
+    # Nothing the loader accepts is dropped: a node's n_samples and gini
+    # are not kept, so they must equal what the writer computes from counts.
+    assert json.loads(forest_to_json(forest)) == doc
 
 
 # Hand-built one-tree documents, each wrong in one way:
@@ -218,14 +221,69 @@ def test_malformed_field_rejected(path, mutation):
         _load(_mutate(VALID, path, mutation))
 
 
-CLI_CASES = {name: _one_tree_doc(nodes) for name, nodes, _ in BAD_TREES[:6]}
-CLI_CASES.update({name: _mutate(VALID, path, m) for name, path, m in BAD_FIELDS[:4]})
+def _with_key(path: tuple, key: str, value) -> dict:
+    doc = copy.deepcopy(VALID)
+    parent = doc
+    for step in path:
+        parent = parent[step]
+    parent[key] = value
+    return doc
+
+
+# Each object has exactly the keys the writer emits for it, so a key it
+# never writes is an error, not a silently ignored typo:
+# (name, path to the object, key, value).
+LEAF = next(i for i, nd in enumerate(VALID["trees"][0]["nodes"]) if "feature" not in nd)
+UNKNOWN_KEYS = [
+    ("document", (), "note", "x"),
+    ("config-typo", ("config",), "max_depht", 3),
+    ("tree", ("trees", 0), "note", "x"),
+    ("leaf-threshold", ("trees", 0, "nodes", LEAF), "threshold", 0.5),
+    ("node-note", ("trees", 0, "nodes", 0), "note", "x"),
+]
+
+
+@pytest.mark.parametrize("path, key, value", [u[1:] for u in UNKNOWN_KEYS], ids=[u[0] for u in UNKNOWN_KEYS])
+def test_unknown_key_rejected(path, key, value):
+    with pytest.raises(ValueError, match=f"has keys .*'{key}'"):
+        _load(_with_key(path, key, value))
+
+
+# A key given twice in one object, where json keeps the last value:
+# (name, the text before the first key of the object, key, first value).
+DUPLICATE_KEYS = [
+    ("document-n-classes", "", "n_classes", 2),
+    ("config-seed", '"config": ', "seed", 99),
+    ("node-gini", '"nodes": [', "gini", 0.25),
+]
+
+
+def _with_duplicate(before: str, key: str, value) -> str:
+    text = json.dumps(VALID)
+    at = text.index(before + "{") + len(before) + 1
+    return f"{text[:at]}{json.dumps(key)}: {json.dumps(value)}, {text[at:]}"
+
+
+@pytest.mark.parametrize(
+    "before, key, value", [d[1:] for d in DUPLICATE_KEYS], ids=[d[0] for d in DUPLICATE_KEYS]
+)
+def test_duplicate_key_rejected(before, key, value):
+    text = _with_duplicate(before, key, value)
+    assert json.loads(text) == VALID  # json alone keeps the last value
+    with pytest.raises(ValueError, match=f"forest document has duplicate key '{key}'"):
+        forest_from_json(text)
+
+
+CLI_CASES = {name: json.dumps(_one_tree_doc(nodes)) for name, nodes, _ in BAD_TREES[:6]}
+CLI_CASES.update({name: json.dumps(_mutate(VALID, path, m)) for name, path, m in BAD_FIELDS[:4]})
+CLI_CASES.update({f"unknown-key-{u[0]}": json.dumps(_with_key(*u[1:])) for u in UNKNOWN_KEYS})
+CLI_CASES.update({f"duplicate-key-{d[0]}": _with_duplicate(*d[1:]) for d in DUPLICATE_KEYS})
 
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_export_tree_exits_2_without_traceback(name, tmp_path):
     path = tmp_path / "forest.json"
-    path.write_text(json.dumps(CLI_CASES[name]), encoding="utf-8")
+    path.write_text(CLI_CASES[name], encoding="utf-8")
     src = str(Path(detforest.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from detforest.cli import main; sys.exit(main())",
