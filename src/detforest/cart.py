@@ -332,9 +332,11 @@ def grow_tree(ds: Dataset, row_indices: np.ndarray, cfg: ForestConfig, rng: RngS
     # known: the right child's work item carries the parent's record fields
     # but the right position, and the slot holds None until then.
     nodes: list[TreeNode | None] = []
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one object per distinct class-count tuple
     work: list[tuple] = [(rows, weights, class_counts_of(ds.labels[idx], ds.c), 0, None)]
     while work:
         node_rows, node_weights, counts, depth, parent = work.pop()
+        counts = shared.setdefault(counts, counts)
         if parent is not None:
             i, sp, pc = parent
             nodes[i] = Internal(sp.feature, sp.threshold, i + 1, len(nodes), pc)

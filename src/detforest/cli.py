@@ -50,6 +50,7 @@ from .forest import (
     Forest,
     ForestConfig,
     _int,
+    _object,
     _tree_to_doc,
     accuracy,
     dump_json,
@@ -337,7 +338,7 @@ def tree_to_structured(tree: DecisionTree) -> str:
         "schema": TREE_SCHEMA,
         "n_features": tree.n_features,
         "n_classes": tree.n_classes,
-        "tree": _tree_to_doc(tree),
+        "tree": _tree_to_doc(tree, {}),
     }
     return dump_json(doc) + "\n"
 
@@ -375,9 +376,10 @@ def _read_split_file(path, n: int) -> SplitIndices:
     doc = read_json(Path(path).read_text(encoding="utf-8"), f"split file {path}")
     if not isinstance(doc, dict) or doc.get("schema") != SPLIT_SCHEMA:
         raise ValueError(f"{path} is not a {SPLIT_SCHEMA} document")
+    _object(doc, frozenset({"schema", "train", "test"}), f"split file {path}")
     parts = []
     for key in ("train", "test"):
-        if not isinstance(doc.get(key), list):
+        if not isinstance(doc[key], list):
             raise ValueError(f"{path} has no {key} list of row indices")
         parts.append(tuple(_int(i, f"{path} {key} index") for i in doc[key]))
     train, test = parts

@@ -90,7 +90,8 @@ def load_csv(path: str, label_column: str, composition: bool = False) -> Dataset
     """Load a dataset from a headered CSV file.
 
     Feature columns keep file order.  Labels that are all plain non-negative
-    integers are used as-is; anything else is mapped to 0, 1, 2, ... by
+    integers are mapped to their rank among the distinct labels (so labels
+    0..k-1 keep their values); anything else is mapped to 0, 1, 2, ... by
     first appearance.  Parse failures name the offending row and column
     (row numbers count data rows from 1, excluding the header).
 
@@ -229,7 +230,9 @@ def _map_labels(raw: list[str], label_column: str) -> np.ndarray:
         if max(ints) >= 2**63:
             r = next(r for r, label in enumerate(ints, start=1) if label >= 2**63)
             raise ValueError(f"label {raw[r - 1]!r} at row {r}, column {label_column!r} is above 2**63 - 1")
-        return np.array(ints, dtype=np.int64)
+        # Each label's rank among the distinct labels: dense class ids, so
+        # sparse labels make no empty classes, and 0..k-1 map to themselves.
+        return np.unique(np.array(ints, dtype=np.int64), return_inverse=True)[1]
     seen: dict[str, int] = {}
     out = np.empty(len(raw), dtype=np.int64)
     for i, cell in enumerate(raw):

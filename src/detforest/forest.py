@@ -23,6 +23,7 @@ import json
 import math
 import os
 from collections import Counter
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -323,23 +324,32 @@ _LEAF_KEYS = frozenset({"class_counts", "n_samples", "gini"})
 _SPLIT_KEYS = _LEAF_KEYS | {"feature", "threshold", "left", "right"}
 
 
-def _tree_to_doc(tree: DecisionTree) -> dict:
+def _tree_to_doc(tree: DecisionTree, ginis: dict) -> dict:
+    """The tree's node list document.  ginis maps each class-count tuple met
+    in one save to its gini, so each is computed once."""
     nodes = []
     for node in tree.nodes:
         counts = node.class_counts
-        nd = {"class_counts": list(counts), "n_samples": sum(counts), "gini": gini(counts)}
+        g = ginis.get(counts)
+        if g is None:
+            g = ginis[counts] = gini(counts)
+        nd = {"class_counts": list(counts), "n_samples": sum(counts), "gini": g}
         if isinstance(node, Internal):
             nd.update(feature=node.feature, threshold=node.threshold, left=node.left, right=node.right)
         nodes.append(nd)
     return {"nodes": nodes}
 
 
-def _tree_from_doc(doc: dict, n_features: int, n_classes: int) -> DecisionTree:
+def _tree_from_doc(doc: dict, n_features: int, n_classes: int, shared: dict) -> DecisionTree:
+    """The tree a tree document describes, else ValueError.  shared maps each
+    class-count tuple met in one load to its first copy and its gini, so that
+    equal counts are one object and each gini is computed once."""
     raw = _object(doc, frozenset({"nodes"}), "tree document")["nodes"]
     if not isinstance(raw, list) or not raw:
         raise ValueError("tree document has no nodes")
     nodes: list[Leaf | Internal] = []
     for i, nd in enumerate(raw):
+        raw[i] = None  # free each node's document once read: the load holds no other reference
         is_split = "feature" in nd
         _object(nd, _SPLIT_KEYS if is_split else _LEAF_KEYS, f"node {i}")
         counts = tuple(_int(v, f"node {i} class count") for v in nd["class_counts"])
@@ -348,7 +358,8 @@ def _tree_from_doc(doc: dict, n_features: int, n_classes: int) -> DecisionTree:
         # best_split counts rows in float64, exact up to 2**53: no fit makes more.
         if len(counts) != n_classes or not 1 <= total <= 2**53 or sum(counts) != total or min(counts) < 0:
             raise ValueError(f"node {i} has n_samples {total} and class counts {list(counts)}")
-        if g != gini(counts):
+        counts, counts_gini = shared.get(counts) or shared.setdefault(counts, (counts, gini(counts)))
+        if g != counts_gini:
             raise ValueError(f"node {i} stores gini {g!r}, not the gini of its class counts")
         if not is_split:
             nodes.append(Leaf(counts))
@@ -395,33 +406,66 @@ def _config_from_doc(doc: dict) -> ForestConfig:
     return ForestConfig(**values)
 
 
+_FOREST_KEYS = frozenset({"schema", "n_features", "n_classes", "config", "trees"})
+
+
+def _forest_header(doc: dict) -> tuple[ForestConfig, int, int]:
+    """The config, n_features and n_classes of a forest document's top-level
+    object, else ValueError."""
+    schema = doc.get("schema")
+    if schema != FOREST_SCHEMA:
+        raise ValueError(f"not a {FOREST_SCHEMA} document (schema={schema!r})")
+    _object(doc, _FOREST_KEYS, "forest document")
+    n_features = _int(doc["n_features"], "n_features")
+    n_classes = _int(doc["n_classes"], "n_classes")
+    config = _config_from_doc(doc["config"])
+    config.resolved_mtry(n_features)  # rejects n_features < 1 and an mtry above it
+    return config, n_features, n_classes
+
+
 def forest_from_json(text: str) -> Forest:
     """The forest that text describes, else ValueError.
 
-    The parsed document is this call's alone, so each tree's entry is
-    replaced by None, freeing its document, once its tree is built.
+    The text is read one member of the top-level object at a time, and the
+    tree list one element at a time: a tree is built as soon as its
+    element is decoded and the header is known, and then its document is
+    dropped.  The writer puts "trees" last, so that holds one tree's parsed
+    document at a time; a document with "trees" earlier keeps its decoded
+    elements until the header has been read.  Equal class-count tuples are
+    one object across the forest.
     """
-    doc = read_json(text, "forest document")
-    schema = doc.get("schema") if isinstance(doc, dict) else None
-    if schema != FOREST_SCHEMA:
-        raise ValueError(f"not a {FOREST_SCHEMA} document (schema={schema!r})")
+    what = "forest document"
+    doc: dict = {}  # the top-level object; "trees" holds the built trees
+    header = None  # _forest_header(doc), once every key is known
+    pending: list[dict] = []  # tree documents decoded before the header
+    trees: list[DecisionTree] = []
+    shared: dict = {}
     try:
-        _object(doc, frozenset({"schema", "n_features", "n_classes", "config", "trees"}), "forest document")
-        n_features = _int(doc["n_features"], "n_features")
-        n_classes = _int(doc["n_classes"], "n_classes")
-        config = _config_from_doc(doc["config"])
-        config.resolved_mtry(n_features)  # rejects n_features < 1 and an mtry above it
-        tree_docs = doc["trees"]
-        if not isinstance(tree_docs, list):
+        for key, value in _members(text, what, "trees"):
+            if key in doc:
+                raise ValueError(f"{what} has duplicate key {key!r}")
+            doc[key] = value
+            if key != "trees" or not isinstance(value, Iterator):
+                continue
+            doc[key] = trees
+            for tree_doc in value:
+                pending.append(tree_doc)
+                del tree_doc  # pending holds the only reference
+                if header is None and doc.keys() == _FOREST_KEYS:
+                    header = _forest_header(doc)
+                if header is not None:
+                    trees += (_tree_from_doc(d, header[1], header[2], shared) for d in pending)
+                    pending.clear()
+        config, n_features, n_classes = _forest_header(doc)
+        if doc["trees"] is not trees:
             raise ValueError("forest document has no list of trees")
-        if len(tree_docs) != config.n_trees:
-            raise ValueError(f"document has {len(tree_docs)} trees but config says {config.n_trees}")
-        trees = []
-        for k in range(len(tree_docs)):
-            trees.append(_tree_from_doc(tree_docs[k], n_features, n_classes))
-            tree_docs[k] = None
+        trees += (_tree_from_doc(d, n_features, n_classes, shared) for d in pending)
+        if len(trees) != config.n_trees:
+            raise ValueError(f"document has {len(trees)} trees but config says {config.n_trees}")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed forest document: {type(exc).__name__}: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply") from None
     return Forest(trees=tuple(trees), config=config, n_features=n_features, n_classes=n_classes)
 
 
@@ -440,8 +484,9 @@ def forest_to_json(f: Forest) -> str:
         "config": _config_to_doc(f.config),
     }
     parts = [dump_json(header)[:-1], ',"trees":[']
+    ginis: dict = {}
     for tree in f.trees:
-        parts += (dump_json(_tree_to_doc(tree)), ",")
+        parts += (dump_json(_tree_to_doc(tree, ginis)), ",")
     parts[-1] = "]}"
     return "".join(parts)
 
@@ -451,19 +496,77 @@ def dump_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def read_json(text: str, what: str):
-    """json.loads for an untrusted file: a duplicate key, where json would keep
-    the last value, or nesting too deep to parse raises ValueError."""
-    def unique_keys(pairs: list) -> dict:
+def _unique_keys(what: str):
+    """A json object_pairs_hook that raises ValueError on a duplicate key,
+    where json would keep the last value."""
+    def hook(pairs: list) -> dict:
         if len(obj := dict(pairs)) == len(pairs):
             return obj
         key = Counter(k for k, _ in pairs).most_common(1)[0][0]
         raise ValueError(f"{what} has duplicate key {key!r}")
 
+    return hook
+
+
+def read_json(text: str, what: str):
+    """json.loads for an untrusted file: a duplicate key or nesting too deep
+    to parse raises ValueError."""
     try:
-        return json.loads(text, object_pairs_hook=unique_keys)
+        return json.loads(text, object_pairs_hook=_unique_keys(what))
     except RecursionError:
         raise ValueError(f"{what} is nested too deeply") from None
+
+
+_WHITESPACE = json.decoder.WHITESPACE.match  # json's [ \t\n\r]*
+
+
+def _members(text: str, what: str, streamed: str):
+    """Yield (key, value) for each member of the JSON object that text holds,
+    with json.loads's checks and read_json's duplicate-key check below the
+    top level.  An array under the key `streamed` comes as an iterator over
+    its decoded elements, which must be exhausted before the next member.
+    """
+    decode = json.JSONDecoder(object_pairs_hook=_unique_keys(what)).raw_decode
+    i = 0
+
+    def token(allowed: str) -> str:
+        # The next character after whitespace, which must be one of allowed.
+        nonlocal i
+        i = _WHITESPACE(text, i).end()
+        if not text.startswith(tuple(allowed), i):
+            raise json.JSONDecodeError(f"Expecting {' or '.join(map(repr, allowed))}", text, i)
+        i += 1
+        return text[i - 1]
+
+    def value():
+        nonlocal i
+        v, i = decode(text, _WHITESPACE(text, i).end())
+        return v
+
+    def elements():
+        nonlocal i
+        i = _WHITESPACE(text, i + 1).end()  # past the "["
+        if text.startswith("]", i):
+            i += 1
+            return
+        while True:
+            yield value()
+            if token(",]") == "]":
+                return
+
+    token("{")
+    if token('"}') == '"':
+        while True:
+            key, i = json.decoder.scanstring(text, i)
+            token(":")
+            i = _WHITESPACE(text, i).end()
+            yield key, elements() if key == streamed and text.startswith("[", i) else value()
+            if token(",}") == "}":
+                break
+            token('"')
+    i = _WHITESPACE(text, i).end()
+    if i != len(text):
+        raise json.JSONDecodeError("Extra data", text, i)
 
 
 def save_forest(f: Forest, path) -> None:

@@ -279,6 +279,9 @@ def reference_load_csv(path: str, label_column: str, composition: bool = False) 
     integers are used as-is; anything else is mapped to 0, 1, 2, ... by
     first appearance.  Parse failures name the offending row and column
     (row numbers count data rows from 1, excluding the header).
+
+    The labels go through load_csv's own _map_labels, so plain non-negative
+    integers map to their rank among the distinct labels, as in load_csv.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")

@@ -157,7 +157,8 @@ def test_plain_file_never_reaches_cell_loop(tmp_path, monkeypatch):
     monkeypatch.setattr(dataset, "_load_cells", refuse)
     back = load_csv(path, "y")
     assert np.array_equal(back.features.view(np.uint64), ds.features.view(np.uint64))
-    assert back.labels.tolist() == [2, 0] and back.feature_names == ds.feature_names
+    # Labels 2 and 0 load as their ranks among the distinct labels.
+    assert back.labels.tolist() == [1, 0] and back.feature_names == ds.feature_names
     assert back.features.flags.c_contiguous
 
 

@@ -196,7 +196,16 @@ SPLIT_CASES = {
     "deep-train": '{"schema": "detforest.split.v1", "train": ' + DEEP + ', "test": [6, 7]}',
     # json alone keeps the last train list, which makes a valid split.
     "duplicate-train": '{"schema": "detforest.split.v1", "train": [7], "test": [6, 7], "train": [0, 1, 2, 3, 4, 5]}',
+    # A misspelt key was dropped, and the split loaded without it.
+    "unknown-key": '{"schema": "detforest.split.v1", "train": [0, 1, 2, 3, 4, 5], "test": [6, 7], "tset": [0]}',
 }
+
+
+def test_unknown_split_key_named(tmp_path):
+    path = tmp_path / "split.json"
+    path.write_text(SPLIT_CASES["unknown-key"], encoding="utf-8")
+    with pytest.raises(ValueError, match=r"split file .* has keys \['schema', 'test', 'train', 'tset'\]"):
+        _read_split_file(path, N_ROWS)
 
 
 def _run_cli(argv) -> subprocess.CompletedProcess:

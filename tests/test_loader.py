@@ -11,11 +11,13 @@ rejected file makes the CLI exit with code 2 and print no traceback.
 from __future__ import annotations
 
 import copy
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -274,10 +276,97 @@ def test_duplicate_key_rejected(before, key, value):
         forest_from_json(text)
 
 
+# The loader reads the text itself, member by member and tree by tree, so
+# it must reject what json.loads rejects, and what read_json adds to it:
+# (name, document text).
+TEXT = forest_to_json(_load(VALID))
+DEEP = "[" * 200000 + "]" * 200000
+BAD_TEXTS = [
+    ("data-after-closing-brace", TEXT + ' {"trees": []}'),
+    ("second-trees-key", TEXT[:-1] + ',"trees":[]}'),
+    ("unterminated-tree-list", TEXT[:-2]),
+    ("unterminated-object", TEXT[:-1]),
+    ("trailing-comma-in-tree-list", TEXT[:-2] + ",]}"),
+    ("utf-8-bom", "\ufeff" + TEXT),
+    ("tree-nested-too-deeply", TEXT[:-2] + "," + DEEP + "]}"),
+]
+
+
+@pytest.mark.parametrize("text", [b[1] for b in BAD_TEXTS], ids=[b[0] for b in BAD_TEXTS])
+def test_malformed_text_rejected(text):
+    with pytest.raises(ValueError):
+        forest_from_json(text)
+
+
+def _trees_first(doc: dict) -> str:
+    """doc with "trees" as its first key, indented, with \r\n line ends."""
+    return json.dumps({"trees": doc["trees"], **doc}, indent=2).replace("\n", "\r\n")
+
+
+def test_trees_before_the_header_loads_the_same_forest():
+    text = _trees_first(VALID)
+    assert text.startswith('{\r\n  "trees": [')
+    assert forest_from_json(text) == _load(VALID)
+    assert forest_to_json(forest_from_json(text)) == TEXT
+
+
+def test_whitespace_around_the_document_loads():
+    assert forest_from_json(" \t\r\n" + TEXT + "\n") == _load(VALID)
+
+
+def test_loader_peak_is_under_half_the_parse():
+    # json.loads built every node's dict before the first tree was made.
+    ds = generate_synthetic_formulas(600, 12, 0)
+    forest = fit(ds, train_test_split(ds, 0.75, 0), ForestConfig(n_trees=20, seed=0))
+    text = forest_to_json(forest)
+
+    def peak(load) -> int:
+        # A freed small tuple or float goes to CPython's free list and stays
+        # traced, so a first call's peak depends on what filled those lists
+        # before: the traced call follows an untraced one, and no collection
+        # empties the lists between them.
+        gc.disable()
+        try:
+            load(text)
+            tracemalloc.start()
+            load(text)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+
+    assert peak(forest_from_json) < peak(json.loads) / 2
+
+
+def _counts_objects(trees) -> dict:
+    """Each distinct class-count tuple, with the ids of the objects holding
+    it: one id means that every node with those counts holds the same object."""
+    ids: dict = {}
+    for tree in trees:
+        for node in tree.nodes:
+            ids.setdefault(node.class_counts, set()).add(id(node.class_counts))
+    return ids
+
+
+def test_equal_counts_are_one_object():
+    ds = generate_synthetic_formulas(300, 6, 2)
+    forest = fit(ds, train_test_split(ds, 0.75, 2), ForestConfig(n_trees=4, seed=2))
+    # Within a fitted tree ...
+    for tree in forest.trees:
+        ids = _counts_objects([tree])
+        assert len(ids) < len(tree.nodes)
+        assert all(len(objects) == 1 for objects in ids.values())
+    # ... and across a loaded forest.
+    loaded = forest_from_json(forest_to_json(forest))
+    assert loaded == forest
+    assert all(len(objects) == 1 for objects in _counts_objects(loaded.trees).values())
+
+
 CLI_CASES = {name: json.dumps(_one_tree_doc(nodes)) for name, nodes, _ in BAD_TREES[:6]}
 CLI_CASES.update({name: json.dumps(_mutate(VALID, path, m)) for name, path, m in BAD_FIELDS[:4]})
 CLI_CASES.update({f"unknown-key-{u[0]}": json.dumps(_with_key(*u[1:])) for u in UNKNOWN_KEYS})
 CLI_CASES.update({f"duplicate-key-{d[0]}": _with_duplicate(*d[1:]) for d in DUPLICATE_KEYS})
+CLI_CASES.update({f"text-{name}": text for name, text in BAD_TEXTS})
 
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
