@@ -454,7 +454,8 @@ def forest_from_json(text: str) -> Forest:
                 if header is None and doc.keys() == _FOREST_KEYS:
                     header = _forest_header(doc)
                 if header is not None:
-                    trees += (_tree_from_doc(d, header[1], header[2], shared) for d in pending)
+                    _, n_features, n_classes = header
+                    trees += (_tree_from_doc(d, n_features, n_classes, shared) for d in pending)
                     pending.clear()
         config, n_features, n_classes = _forest_header(doc)
         if doc["trees"] is not trees:
