@@ -23,7 +23,6 @@ import json
 import math
 import os
 from collections import Counter
-from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -340,13 +339,14 @@ def _tree_to_doc(tree: DecisionTree, ginis: dict) -> dict:
     return {"nodes": nodes}
 
 
-def _tree_from_doc(doc: dict, n_features: int, n_classes: int, shared: dict) -> DecisionTree:
-    """The tree a tree document describes, else ValueError.  shared maps each
-    class-count tuple met in one load to its first copy and its gini, so that
-    equal counts are one object and each gini is computed once."""
-    raw = _object(doc, frozenset({"nodes"}), "tree document")["nodes"]
-    if not isinstance(raw, list) or not raw:
-        raise ValueError("tree document has no nodes")
+def _tree_nodes(raw: list, shared: dict) -> tuple[Leaf | Internal, ...]:
+    """The nodes that a tree document's node list describes, else ValueError.
+
+    Every check is made but the two that need the forest's header, which
+    _tree makes.  Each node's document is freed once read.  shared maps
+    each class-count tuple met in one load to its first copy and its gini,
+    so that equal counts are one object and each gini is computed once.
+    """
     nodes: list[Leaf | Internal] = []
     for i, nd in enumerate(raw):
         raw[i] = None  # free each node's document once read: the load holds no other reference
@@ -356,7 +356,7 @@ def _tree_from_doc(doc: dict, n_features: int, n_classes: int, shared: dict) -> 
         total = _int(nd["n_samples"], f"node {i} n_samples")
         g = _float(nd["gini"], f"node {i} gini")
         # best_split counts rows in float64, exact up to 2**53: no fit makes more.
-        if len(counts) != n_classes or not 1 <= total <= 2**53 or sum(counts) != total or min(counts) < 0:
+        if not 1 <= total <= 2**53 or sum(counts) != total or min(counts) < 0:
             raise ValueError(f"node {i} has n_samples {total} and class counts {list(counts)}")
         counts, counts_gini = shared.get(counts) or shared.setdefault(counts, (counts, gini(counts)))
         if g != counts_gini:
@@ -366,8 +366,6 @@ def _tree_from_doc(doc: dict, n_features: int, n_classes: int, shared: dict) -> 
             continue
         feature = _int(nd["feature"], f"node {i} feature")
         threshold = _float(nd["threshold"], f"node {i} threshold")
-        if not 0 <= feature < n_features:
-            raise ValueError(f"node {i} splits on feature {feature}, outside [0, {n_features})")
         if not math.isfinite(threshold):
             raise ValueError(f"node {i} has non-finite threshold {threshold!r}")
         left, right = _int(nd["left"], f"node {i} left"), _int(nd["right"], f"node {i} right")
@@ -388,7 +386,22 @@ def _tree_from_doc(doc: dict, n_features: int, n_classes: int, shared: dict) -> 
             stack += (node.right, node.left)
     if stack:
         raise ValueError(f"node {stack[-1]} is reached twice")
-    return DecisionTree(nodes=tuple(nodes), n_features=n_features, n_classes=n_classes)
+    return tuple(nodes)
+
+
+def _tree(nodes, n_features: int, n_classes: int) -> DecisionTree:
+    """The tree of an element of a forest document's tree list, else
+    ValueError.  The loader's hook has made a tree document its nodes
+    (_tree_nodes); this adds the checks that need the header."""
+    if not isinstance(nodes, tuple):
+        _object(nodes, frozenset({"nodes"}), "tree document")
+        raise ValueError("tree document has no nodes")
+    for i, node in enumerate(nodes):
+        if len(node.class_counts) != n_classes:
+            raise ValueError(f"node {i} has {len(node.class_counts)} class counts, not {n_classes}")
+        if isinstance(node, Internal) and not 0 <= node.feature < n_features:
+            raise ValueError(f"node {i} splits on feature {node.feature}, outside [0, {n_features})")
+    return DecisionTree(nodes=nodes, n_features=n_features, n_classes=n_classes)
 
 
 def _config_to_doc(cfg: ForestConfig) -> dict:
@@ -409,69 +422,44 @@ def _config_from_doc(doc: dict) -> ForestConfig:
 _FOREST_KEYS = frozenset({"schema", "n_features", "n_classes", "config", "trees"})
 
 
-def _forest_header(doc: dict) -> tuple[ForestConfig, int, int]:
-    """The config, n_features and n_classes of a forest document's top-level
-    object, else ValueError."""
-    schema = doc.get("schema")
-    if schema != FOREST_SCHEMA:
-        raise ValueError(f"not a {FOREST_SCHEMA} document (schema={schema!r})")
-    _object(doc, _FOREST_KEYS, "forest document")
-    n_features = _int(doc["n_features"], "n_features")
-    n_classes = _int(doc["n_classes"], "n_classes")
-    config = _config_from_doc(doc["config"])
-    config.resolved_mtry(n_features)  # rejects n_features < 1 and an mtry above it
-    return config, n_features, n_classes
-
-
 def forest_from_json(text: str) -> Forest:
     """The forest that text describes, else ValueError.
 
-    The text is read one member of the top-level object at a time, and the
-    tree list one element at a time: a tree is built as soon as its
-    element is decoded and the header is known, and then its document is
-    dropped.  The writer puts "trees" last, so that holds one tree's parsed
-    document at a time; a document with "trees" earlier keeps its decoded
-    elements until the header has been read.  Equal class-count tuples are
-    one object across the forest.
+    json calls a hook on each object as soon as it is decoded, and the hook
+    builds each tree document's nodes there and drops its node documents,
+    so one tree's parsed document exists at a time, whatever the key order.
+    The checks that need the header follow the parse.  Equal class-count
+    tuples are one object across the forest.
     """
-    what = "forest document"
-    doc: dict = {}  # the top-level object; "trees" holds the built trees
-    header = None  # _forest_header(doc), once every key is known
-    pending: list[dict] = []  # tree documents decoded before the header
-    trees: list[DecisionTree] = []
     shared: dict = {}
+
+    def build(obj: dict):
+        if len(obj) == 1 and isinstance(raw := obj.get("nodes"), list) and raw:
+            return _tree_nodes(raw, shared)
+        return obj
+
     try:
-        for key, value in _members(text, what, "trees"):
-            if key in doc:
-                raise ValueError(f"{what} has duplicate key {key!r}")
-            doc[key] = value
-            if key != "trees" or not isinstance(value, Iterator):
-                continue
-            doc[key] = trees
-            for tree_doc in value:
-                pending.append(tree_doc)
-                del tree_doc  # pending holds the only reference
-                if header is None and doc.keys() == _FOREST_KEYS:
-                    header = _forest_header(doc)
-                if header is not None:
-                    _, n_features, n_classes = header
-                    trees += (_tree_from_doc(d, n_features, n_classes, shared) for d in pending)
-                    pending.clear()
-        config, n_features, n_classes = _forest_header(doc)
-        if doc["trees"] is not trees:
+        doc = read_json(text, "forest document", build)
+        schema = doc.get("schema") if isinstance(doc, dict) else None
+        if schema != FOREST_SCHEMA:
+            raise ValueError(f"not a {FOREST_SCHEMA} document (schema={schema!r})")
+        _object(doc, _FOREST_KEYS, "forest document")
+        n_features = _int(doc["n_features"], "n_features")
+        n_classes = _int(doc["n_classes"], "n_classes")
+        config = _config_from_doc(doc["config"])
+        config.resolved_mtry(n_features)  # rejects n_features < 1 and an mtry above it
+        if not isinstance(doc["trees"], list):
             raise ValueError("forest document has no list of trees")
-        trees += (_tree_from_doc(d, n_features, n_classes, shared) for d in pending)
-        if len(trees) != config.n_trees:
-            raise ValueError(f"document has {len(trees)} trees but config says {config.n_trees}")
+        if len(doc["trees"]) != config.n_trees:
+            raise ValueError(f"document has {len(doc['trees'])} trees but config says {config.n_trees}")
+        trees = tuple(_tree(nodes, n_features, n_classes) for nodes in doc["trees"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed forest document: {type(exc).__name__}: {exc}") from None
-    except RecursionError:
-        raise ValueError(f"{what} is nested too deeply") from None
-    return Forest(trees=tuple(trees), config=config, n_features=n_features, n_classes=n_classes)
+    return Forest(trees=trees, config=config, n_features=n_features, n_classes=n_classes)
 
 
-def forest_to_json(f: Forest) -> str:
-    """The forest's document text, built from one tree's document at a time.
+def _json_chunks(f: Forest):
+    """The forest's document text in pieces, one tree's text at a time.
 
     The document holds the schema, n_features, n_classes, the config and
     the trees, each a preorder node list.  dump_json sorts keys and "trees"
@@ -484,12 +472,16 @@ def forest_to_json(f: Forest) -> str:
         "n_classes": f.n_classes,
         "config": _config_to_doc(f.config),
     }
-    parts = [dump_json(header)[:-1], ',"trees":[']
+    yield dump_json(header)[:-1] + ',"trees":['
     ginis: dict = {}
-    for tree in f.trees:
-        parts += (dump_json(_tree_to_doc(tree, ginis)), ",")
-    parts[-1] = "]}"
-    return "".join(parts)
+    for k, tree in enumerate(f.trees):
+        yield ("," if k else "") + dump_json(_tree_to_doc(tree, ginis))
+    yield "]}"
+
+
+def forest_to_json(f: Forest) -> str:
+    """The forest's document text (see _json_chunks)."""
+    return "".join(_json_chunks(f))
 
 
 def dump_json(doc) -> str:
@@ -497,82 +489,28 @@ def dump_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _unique_keys(what: str):
-    """A json object_pairs_hook that raises ValueError on a duplicate key,
-    where json would keep the last value."""
-    def hook(pairs: list) -> dict:
-        if len(obj := dict(pairs)) == len(pairs):
-            return obj
-        key = Counter(k for k, _ in pairs).most_common(1)[0][0]
-        raise ValueError(f"{what} has duplicate key {key!r}")
-
-    return hook
-
-
-def read_json(text: str, what: str):
+def read_json(text: str, what: str, build=None):
     """json.loads for an untrusted file: a duplicate key or nesting too deep
-    to parse raises ValueError."""
+    to parse raises ValueError.  build, if given, is called on each object
+    (a dict) as soon as it is decoded, innermost first, and what it returns
+    takes the object's place."""
+
+    def hook(pairs: list):
+        if len(obj := dict(pairs)) != len(pairs):
+            key = Counter(k for k, _ in pairs).most_common(1)[0][0]
+            raise ValueError(f"{what} has duplicate key {key!r}")
+        return obj if build is None else build(obj)
+
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys(what))
+        return json.loads(text, object_pairs_hook=hook)
     except RecursionError:
         raise ValueError(f"{what} is nested too deeply") from None
 
 
-_WHITESPACE = json.decoder.WHITESPACE.match  # json's [ \t\n\r]*
-
-
-def _members(text: str, what: str, streamed: str):
-    """Yield (key, value) for each member of the JSON object that text holds,
-    with json.loads's checks and read_json's duplicate-key check below the
-    top level.  An array under the key `streamed` comes as an iterator over
-    its decoded elements, which must be exhausted before the next member.
-    """
-    decode = json.JSONDecoder(object_pairs_hook=_unique_keys(what)).raw_decode
-    i = 0
-
-    def token(allowed: str) -> str:
-        # The next character after whitespace, which must be one of allowed.
-        nonlocal i
-        i = _WHITESPACE(text, i).end()
-        if not text.startswith(tuple(allowed), i):
-            raise json.JSONDecodeError(f"Expecting {' or '.join(map(repr, allowed))}", text, i)
-        i += 1
-        return text[i - 1]
-
-    def value():
-        nonlocal i
-        v, i = decode(text, _WHITESPACE(text, i).end())
-        return v
-
-    def elements():
-        nonlocal i
-        i = _WHITESPACE(text, i + 1).end()  # past the "["
-        if text.startswith("]", i):
-            i += 1
-            return
-        while True:
-            yield value()
-            if token(",]") == "]":
-                return
-
-    token("{")
-    if token('"}') == '"':
-        while True:
-            key, i = json.decoder.scanstring(text, i)
-            token(":")
-            i = _WHITESPACE(text, i).end()
-            yield key, elements() if key == streamed and text.startswith("[", i) else value()
-            if token(",}") == "}":
-                break
-            token('"')
-    i = _WHITESPACE(text, i).end()
-    if i != len(text):
-        raise json.JSONDecodeError("Extra data", text, i)
-
-
 def save_forest(f: Forest, path) -> None:
+    """Write forest_to_json(f) and a newline to path, one tree's text at a time."""
     with Path(path).open("w", encoding="utf-8") as out:
-        out.write(forest_to_json(f))
+        out.writelines(_json_chunks(f))
         out.write("\n")
 
 

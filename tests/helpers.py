@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import gc
 import math
+import tracemalloc
 from enum import Enum
 
 import numpy as np
@@ -240,6 +242,25 @@ def _node_doc(node: TreeNode) -> dict:
     counts = node.class_counts
     from_counts = {"class_counts": list(counts), "n_samples": sum(counts), "gini": gini(counts)}
     return {**dataclasses.asdict(node), **from_counts}
+
+
+def warm_traced_peak(fn, *args) -> int:
+    """Peak bytes traced by tracemalloc while fn(*args) runs a second time.
+
+    A freed small tuple or float goes to CPython's free list and stays
+    traced, so a first call's peak depends on what filled those lists
+    before: the traced call follows an untraced one, and no collection
+    empties the lists between them.
+    """
+    gc.disable()
+    try:
+        fn(*args)
+        tracemalloc.start()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
 
 
 def _round10(x: float) -> float:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import pickle
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +45,7 @@ from helpers import (
     reference_predict_proba,
     state_with_draw,
     tiny_dataset,
+    warm_traced_peak,
 )
 
 
@@ -761,16 +761,6 @@ class TestSerialization:
             forest_from_json(text)
 
 
-def _traced_peak(fn, *args) -> int:
-    """Peak bytes traced by tracemalloc while fn(*args) runs."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestOneTreeAtATime:
     """The writer dumps one tree's document at a time, and the loader frees
     each tree's document once its tree is built."""
@@ -804,13 +794,20 @@ class TestOneTreeAtATime:
 
     def test_writer_peak_is_below_the_document(self, forest20):
         # One json.dumps of the whole document peaked at 3.7x the document.
-        assert _traced_peak(forest_to_json, forest20) < _traced_peak(forest_to_doc, forest20)
+        assert warm_traced_peak(forest_to_json, forest20) < warm_traced_peak(forest_to_doc, forest20)
+
+    def test_save_writes_one_tree_at_a_time(self, forest20, tmp_path):
+        # Joining every tree's text before the write held the text twice.
+        path = tmp_path / "forest.json"
+        save_forest(forest20, path)
+        assert path.read_bytes() == (forest_to_json(forest20) + "\n").encode()
+        assert warm_traced_peak(save_forest, forest20, path) < warm_traced_peak(forest_to_json, forest20)
 
     def test_loader_peak_is_close_to_the_parse(self, forest20):
         # Holding every tree's document until the last tree is built peaked
         # at 1.6x the parse.
         text = forest_to_json(forest20)
-        assert _traced_peak(forest_from_json, text) <= 1.25 * _traced_peak(read_json, text, "forest")
+        assert warm_traced_peak(forest_from_json, text) <= 1.25 * warm_traced_peak(read_json, text, "forest")
 
 
 class TestPickle:

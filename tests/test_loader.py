@@ -11,13 +11,11 @@ rejected file makes the CLI exit with code 2 and print no traceback.
 from __future__ import annotations
 
 import copy
-import gc
 import json
 import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -37,6 +35,8 @@ from detforest import (
     iter_nodes,
     train_test_split,
 )
+
+from helpers import warm_traced_peak
 
 
 def _valid_doc() -> dict:
@@ -212,6 +212,10 @@ BAD_FIELDS = [
     ("n-trees-float", ("config", "n_trees"), 2.0),
     ("mtry-above-features", ("config", "mtry"), 5),
     ("huge-threshold", ("trees", 0, "nodes", 0, "threshold"), 10**400),
+    # Objects shaped like a tree document where no tree belongs.
+    ("config-is-a-tree", ("config",), VALID["trees"][0]),
+    ("class-counts-are-a-tree", ("trees", 0, "nodes", 0, "class_counts"), VALID["trees"][0]),
+    ("tree-nodes-object", ("trees", 0), {"nodes": {}}),
 ]
 
 
@@ -276,9 +280,9 @@ def test_duplicate_key_rejected(before, key, value):
         forest_from_json(text)
 
 
-# The loader reads the text itself, member by member and tree by tree, so
-# it must reject what json.loads rejects, and what read_json adds to it:
-# (name, document text).
+# The loader parses the text with json.loads, through read_json, and
+# builds each tree in json's object hook, so it must reject what json.loads
+# rejects, and what read_json adds to it: (name, document text).
 TEXT = forest_to_json(_load(VALID))
 DEEP = "[" * 200000 + "]" * 200000
 BAD_TEXTS = [
@@ -315,27 +319,13 @@ def test_whitespace_around_the_document_loads():
 
 
 def test_loader_peak_is_under_half_the_parse():
-    # json.loads built every node's dict before the first tree was made.
+    # json.loads built every node's dict before the first tree was made, and
+    # a trees-first document was held until its header had been read.
     ds = generate_synthetic_formulas(600, 12, 0)
     forest = fit(ds, train_test_split(ds, 0.75, 0), ForestConfig(n_trees=20, seed=0))
     text = forest_to_json(forest)
-
-    def peak(load) -> int:
-        # A freed small tuple or float goes to CPython's free list and stays
-        # traced, so a first call's peak depends on what filled those lists
-        # before: the traced call follows an untraced one, and no collection
-        # empties the lists between them.
-        gc.disable()
-        try:
-            load(text)
-            tracemalloc.start()
-            load(text)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-            gc.enable()
-
-    assert peak(forest_from_json) < peak(json.loads) / 2
+    for doc in (text, _trees_first(json.loads(text))):
+        assert warm_traced_peak(forest_from_json, doc) < warm_traced_peak(json.loads, doc) / 2
 
 
 def _counts_objects(trees) -> dict:
@@ -363,7 +353,7 @@ def test_equal_counts_are_one_object():
 
 
 CLI_CASES = {name: json.dumps(_one_tree_doc(nodes)) for name, nodes, _ in BAD_TREES[:6]}
-CLI_CASES.update({name: json.dumps(_mutate(VALID, path, m)) for name, path, m in BAD_FIELDS[:4]})
+CLI_CASES.update({name: json.dumps(_mutate(VALID, path, m)) for name, path, m in BAD_FIELDS[:4] + BAD_FIELDS[-3:]})
 CLI_CASES.update({f"unknown-key-{u[0]}": json.dumps(_with_key(*u[1:])) for u in UNKNOWN_KEYS})
 CLI_CASES.update({f"duplicate-key-{d[0]}": _with_duplicate(*d[1:]) for d in DUPLICATE_KEYS})
 CLI_CASES.update({f"text-{name}": text for name, text in BAD_TEXTS})
