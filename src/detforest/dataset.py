@@ -23,6 +23,8 @@ from .prng import RngState, SPLIT_STREAM, SYNTH_STREAM, derive_stream, next_u64_
 
 COMPOSITION_SUM = 100.0
 COMPOSITION_TOL = 1e-6
+# Values per row block in generate_synthetic_formulas.
+SYNTH_BLOCK_VALUES = 1 << 16
 
 
 @dataclass(eq=False)
@@ -57,14 +59,14 @@ class Dataset:
             raise ValueError("dataset has no feature column")
         if self.n == 0:
             raise ValueError("dataset must contain at least one row")
-        bad = ~np.isfinite(self.features)
-        if bad.any():
+        # min() is NaN, and fails the test, if any value is NaN; the boolean
+        # matrices that locate the first bad cell are built only on failure.
+        if not (self.features.min() >= 0.0 and self.features.max() < np.inf):
+            bad, kind = ~np.isfinite(self.features), "non-finite"
+            if not bad.any():
+                bad, kind = self.features < 0, "negative"
             r, col = np.argwhere(bad)[0]
-            raise ValueError(f"non-finite feature value at row {r}, column {self.feature_names[col]!r}")
-        neg = self.features < 0
-        if neg.any():
-            r, col = np.argwhere(neg)[0]
-            raise ValueError(f"negative feature value at row {r}, column {self.feature_names[col]!r}")
+            raise ValueError(f"{kind} feature value at row {r}, column {self.feature_names[col]!r}")
         if self.labels.min() < 0:
             raise ValueError("labels must be non-negative")
         self.c = int(self.labels.max()) + 1
@@ -299,16 +301,34 @@ def generate_synthetic_formulas(n: int, p: int, seed: int) -> Dataset:
     s = 2*x[0] + x[1] - x[2]: class 2 above the 85th percentile of s,
     class 1 above the 60th, class 0 otherwise (percentiles computed on the
     generated rows, linear interpolation), giving roughly a 60/25/15 split.
+
+    The rows are made in blocks of max(1, SYNTH_BLOCK_VALUES // p) rows,
+    written in place into the preallocated output.  A block's draws continue
+    the stream where the previous block's stopped, so the draw order stays
+    row-major; each element goes through the same numpy operations
+    (shift, cast, +1, scale, log, negate, one multiply), and each row is
+    summed by the same numpy row sum, as when the whole matrix is made at
+    once, so the bytes do not depend on the block size.  Memory is the
+    output plus one block's temporaries.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if p < 4:
         raise ValueError(f"p must be >= 4 (planted rule uses 3 features plus filler), got {p}")
-    raw, _ = next_u64_block(derive_stream(seed, SYNTH_STREAM), n * p)
-    # (v >> 11) spans [0, 2**53); +1 shifts the unit mapping onto (0, 1].
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-    e = -np.log(u.reshape(n, p))
-    features = e * (COMPOSITION_SUM / e.sum(axis=1, keepdims=True))
+    features = np.empty((n, p))
+    rows = max(1, SYNTH_BLOCK_VALUES // p)
+    rng = derive_stream(seed, SYNTH_STREAM)
+    for start in range(0, n, rows):
+        block = features[start : start + rows]
+        raw, rng = next_u64_block(rng, block.size)
+        # (v >> 11) spans [0, 2**53); +1 shifts the unit mapping onto (0, 1].
+        raw >>= np.uint64(11)
+        block[...] = raw.reshape(block.shape)
+        block += 1.0
+        block *= 2.0**-53
+        np.log(block, out=block)
+        np.negative(block, out=block)
+        block *= COMPOSITION_SUM / block.sum(axis=1, keepdims=True)
 
     s = 2.0 * features[:, 0] + features[:, 1] - features[:, 2]
     s_sorted = np.sort(s)

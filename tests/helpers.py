@@ -30,8 +30,9 @@ from detforest import (
 )
 from detforest.cart import BLOCK_CELLS, TieBreak, _midpoint
 from detforest.cli import _CONFIG_HEADER, ConfigError
-from detforest.dataset import _map_labels
+from detforest.dataset import COMPOSITION_SUM, _map_labels, _quantile_linear
 from detforest.forest import FOREST_SCHEMA, MTRY_ALL, Aggregation, Forest, ForestConfig
+from detforest.prng import SYNTH_STREAM, derive_stream, next_u64_block
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -342,6 +343,32 @@ def reference_load_csv(path: str, label_column: str, composition: bool = False) 
         raise ValueError(f"{path!r} contains no data rows")
     labels = _map_labels(raw_labels, label_column)
     return Dataset(np.array(rows, dtype=np.float64), labels, feature_names, composition=composition)
+
+
+def reference_generate_synthetic_formulas(n: int, p: int, seed: int) -> Dataset:
+    """generate_synthetic_formulas as it was before it worked in row blocks.
+
+    The whole n*p matrix of draws, uniforms and exponentials is made at
+    once, each as a new array.  The rest is verbatim.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if p < 4:
+        raise ValueError(f"p must be >= 4 (planted rule uses 3 features plus filler), got {p}")
+    raw, _ = next_u64_block(derive_stream(seed, SYNTH_STREAM), n * p)
+    # (v >> 11) spans [0, 2**53); +1 shifts the unit mapping onto (0, 1].
+    u = ((raw >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    e = -np.log(u.reshape(n, p))
+    features = e * (COMPOSITION_SUM / e.sum(axis=1, keepdims=True))
+
+    s = 2.0 * features[:, 0] + features[:, 1] - features[:, 2]
+    s_sorted = np.sort(s)
+    t1 = _quantile_linear(s_sorted, 0.60)
+    t2 = _quantile_linear(s_sorted, 0.85)
+    labels = np.where(s > t2, 2, np.where(s > t1, 1, 0)).astype(np.int64)
+
+    names = [f"x{i}" for i in range(p)]
+    return Dataset(features, labels, names, composition=True)
 
 
 def reference_best_split(

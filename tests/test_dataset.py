@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -16,14 +17,50 @@ from hypothesis import strategies as st
 import detforest
 from detforest import (
     Dataset,
+    dataset,
     generate_synthetic_formulas,
     load_csv,
     save_csv,
     train_test_split,
 )
-from detforest.dataset import _quantile_linear
+from detforest.dataset import SYNTH_BLOCK_VALUES, _quantile_linear
 
-from helpers import tiny_dataset
+from helpers import reference_generate_synthetic_formulas, tiny_dataset, warm_traced_peak
+
+SRC = str(Path(detforest.__file__).resolve().parent.parent)
+TESTS = str(Path(__file__).resolve().parent)
+
+
+def _block_edge_shapes() -> list[tuple[int, int]]:
+    """(n, p) at the row-block edges; the last p makes every block one row."""
+    shapes = []
+    for p in (4, 87, SYNTH_BLOCK_VALUES + 1):
+        rows = max(1, SYNTH_BLOCK_VALUES // p)
+        shapes += [(n, p) for n in sorted({1, rows - 1, rows, rows + 1, 2 * rows + 3}) if n >= 1]
+    return shapes
+
+
+BLOCK_EDGE_SHAPES = _block_edge_shapes()
+SEEDS = (0, 1, 2**64 - 1)
+
+
+def _same_bytes(a: Dataset, b: Dataset) -> bool:
+    return a.features.tobytes() == b.features.tobytes() and a.labels.tobytes() == b.labels.tobytes()
+
+
+def _avx512_group() -> str:
+    """numpy's name for the AVX-512 dispatch group, as NPY_DISABLE_CPU_FEATURES takes it."""
+    if np.lib.NumpyVersion(np.__version__) >= "2.4.0":
+        return "X86_V4 AVX512_ICL AVX512_SPR"
+    return "AVX512F AVX512_SKX"
+
+
+def _cpu_features() -> dict:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
 
 
 class TestDatasetValidation:
@@ -60,6 +97,39 @@ class TestDatasetValidation:
             )
         # Error message locates the offending cell for the user.
         assert "row" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "value, kind",
+        [(np.nan, "non-finite"), (np.inf, "non-finite"), (-np.inf, "non-finite"), (-1e-300, "negative")],
+    )
+    def test_bad_value_message_names_first_cell_in_row_major_order(self, value, kind):
+        feats = np.ones((4, 3))
+        feats[3, 0] = value
+        feats[2, 2] = value
+        feats[2, 1] = value
+        with pytest.raises(ValueError) as exc:
+            Dataset(feats, np.zeros(4, dtype=np.int64), ["a", "b", "c"])
+        assert str(exc.value) == f"{kind} feature value at row 2, column 'b'"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_error_wins_over_negative(self, value):
+        feats = np.ones((3, 3))
+        feats[1, 1] = -2.0
+        feats[2, 2] = value
+        with pytest.raises(ValueError) as exc:
+            Dataset(feats, np.zeros(3, dtype=np.int64), ["a", "b", "c"])
+        assert str(exc.value) == "non-finite feature value at row 2, column 'c'"
+
+    def test_negative_zero_and_smallest_subnormal_accepted(self):
+        ds = tiny_dataset([[-0.0, 1.0], [5e-324, 2.0]], [0, 1])
+        assert ds.features[0, 0] == 0.0 and ds.features[0, 1] == 5e-324
+
+    def test_valid_matrix_builds_no_n_by_p_temporary(self):
+        # Two boolean n-by-p masks, the error path's, would take nbytes / 4.
+        feats = generate_synthetic_formulas(20000, 87, 0).features.copy()
+        labels = np.zeros(20000, dtype=np.int64)
+        names = [f"x{i}" for i in range(87)]
+        assert warm_traced_peak(Dataset, feats, labels, names) < feats.nbytes / 16
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
@@ -194,12 +264,11 @@ class TestCsvRoundTrip:
         ds = load_csv(path, "label")
         assert ds.c == 2
         assert ds.labels.tolist() == [0, 1, 0, 1]
-        src = str(Path(detforest.__file__).resolve().parent.parent)
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from detforest.cli import main; sys.exit(main())",
              "run", "--preset", "table3", "--trials", "1", "--data", str(path),
              "--out-dir", str(tmp_path / "out")],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
         )
         # 1 is a failed preset expectation on this tiny data, not an error.
         assert proc.returncode in (0, 1), proc.stderr
@@ -338,3 +407,46 @@ class TestSyntheticGenerator:
     def test_rows_always_sum_to_hundred(self, n, p, seed):
         ds = generate_synthetic_formulas(n, p, seed)
         assert np.allclose(ds.features.sum(axis=1), 100.0, atol=1e-9)
+
+
+class TestSyntheticBlocks:
+    """The row-block generator against the whole-matrix reference, byte for byte."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n, p", BLOCK_EDGE_SHAPES)
+    def test_matches_whole_matrix_reference(self, n, p, seed):
+        assert _same_bytes(generate_synthetic_formulas(n, p, seed), reference_generate_synthetic_formulas(n, p, seed))
+
+    @pytest.mark.parametrize("rows_per_block", [1, 7, 1000])
+    def test_bytes_do_not_depend_on_block_size(self, monkeypatch, rows_per_block):
+        n, p = 2003, 9
+        monkeypatch.setattr(dataset, "SYNTH_BLOCK_VALUES", rows_per_block * p)
+        assert _same_bytes(generate_synthetic_formulas(n, p, 5), reference_generate_synthetic_formulas(n, p, 5))
+
+    def test_matches_reference_without_avx512_dispatch(self):
+        # Blocking changes where each log call's vector tail falls; this
+        # guards that no dispatch path handles a tail with other bits.
+        group = _avx512_group()
+        if not all(_cpu_features().get(name) for name in group.split()):
+            pytest.skip(f"this CPU lacks numpy's AVX-512 group {group}")
+        cases = [(n, p, seed) for n, p in BLOCK_EDGE_SHAPES for seed in SEEDS] + [(4598, 87, 0)]
+        child = (
+            "import json, sys\n"
+            "from test_dataset import _cpu_features, _same_bytes\n"
+            "from detforest import generate_synthetic_formulas\n"
+            "from helpers import reference_generate_synthetic_formulas\n"
+            "assert not any(_cpu_features()[name] for name in sys.argv[1].split()), 'group still dispatched'\n"
+            "for n, p, seed in json.loads(sys.argv[2]):\n"
+            "    a = generate_synthetic_formulas(n, p, seed)\n"
+            "    assert _same_bytes(a, reference_generate_synthetic_formulas(n, p, seed)), (n, p, seed)\n"
+        )
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": group, "PYTHONPATH": os.pathsep.join([SRC, TESTS])}
+        proc = subprocess.run(
+            [sys.executable, "-c", child, group, json.dumps(cases)], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_peak_memory_is_output_plus_one_block(self):
+        # The whole-matrix reference peaks at 4.32 times the output.
+        n, p = 20000, 87
+        assert warm_traced_peak(generate_synthetic_formulas, n, p, 0) < 1.5 * n * p * 8
