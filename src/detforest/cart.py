@@ -180,16 +180,25 @@ def best_split(
     between them are inadmissible, and every admissible boundary sees the
     same integer left size, right size and left class counts either way.
 
-    The search is column-blocked: each numpy call scans a block of columns
-    of the node's (n, mtry) sub-matrix, sized so that the block's per-class
-    cumsums hold at most BLOCK_CELLS values (or one column, if a node is
-    larger than that).  One block covers every candidate of a small node,
-    which removes the per-candidate call overhead; blocks bound the memory
-    of a large node, which holds the sort orders and class cumsums of one
-    block at a time and keeps only the (mtry, n - 1) matrix of weighted
-    impurities.  Both children are evaluated in one array, left above
-    right.  Every element goes through the same float operations, in the
-    same order, as a scan of one feature and one side at a time, so the
+    Rows are ordered by the dataset's dense integer ranks
+    (`Dataset.rank_keys`, built once per dataset), not by their float
+    values: the keys sort as the values do, and equal values share a key.
+    A stable sort of 16-bit keys is numpy's radix sort.  A boundary whose
+    two keys are equal is inadmissible, and only the chosen boundary's two
+    values are read as floats, for the threshold.  Any order of tied rows
+    gives the same left counts at every admissible boundary, so the split,
+    and every byte of it, is the one a sort of the values gives.
+
+    The search is column-blocked: each numpy call scans a block of rows of
+    the node's (mtry, n) sub-matrix of keys, sized so that the block's
+    per-class cumsums hold at most BLOCK_CELLS values (or one feature, if a
+    node is larger than that).  One block covers every candidate of a small
+    node, which removes the per-candidate call overhead; blocks bound the
+    memory of a large node, which holds the sort orders and class cumsums
+    of one block at a time and keeps only the (mtry, n - 1) matrix of
+    weighted impurities.  Both children are evaluated in one array, left
+    above right.  Every element goes through the same float operations, in
+    the same order, as a scan of one feature and one side at a time, so the
     result depends neither on the block size nor on how the sort orders
     rows with equal values.
     """
@@ -223,19 +232,19 @@ def best_split(
     # Weighted child impurity per (candidate, boundary); inf where inadmissible.
     weighted_all = np.empty((cols.size, n - 1))
     step = max(1, BLOCK_CELLS // (c * n))
-    rows = idx[:, None]
+    # Flat takes, two to three times faster than 2-D fancy indexing: a
+    # block's keys are keys.flat[feature * ds.n + row], and its k-th
+    # feature's sorted keys are block_keys.flat[k * n + order[k]].
+    keys = ds.rank_keys()
     for lo in range(0, cols.size, step):
         block = cols[lo : lo + step]
-        x = ds.features[rows, block]
-        # Any sort order will do: the values are finite, so every boundary
-        # between distinct values sees the same left counts however ties
-        # are ordered, and boundaries inside a run of ties are inadmissible.
-        order = x.argsort(axis=0)
-        xs = x[order, np.arange(block.size)]
+        block_keys = keys.take(block[:, None] * ds.n + idx)
+        order = block_keys.argsort(axis=1, kind="stable")
+        ks = block_keys.take(order + np.arange(0, order.size, n)[:, None])
         # Left (counts[0]) and right (counts[1] = totals - counts[0]) class
-        # counts and sizes at every boundary: shape (2, c + 1, n - 1, block).
-        counts = np.empty((2, c + 1, n - 1, block.size))
-        units.take(order[:-1], axis=1).cumsum(axis=1, out=counts[0])
+        # counts and sizes at every boundary: shape (2, c + 1, block, n - 1).
+        counts = np.empty((2, c + 1, block.size, n - 1))
+        units.take(order[:, :-1], axis=1).cumsum(axis=2, out=counts[0])
         np.subtract(totals, counts[0], out=counts[1])
         sizes = counts[:, c]
         p = counts[:, :c] / counts[:, c:]
@@ -248,9 +257,9 @@ def best_split(
             g = g + p[:, k]
         g = 1.0 - g
         g *= sizes
-        weighted = np.add(g[0], g[1], out=weighted_all[lo : lo + step].T)
+        weighted = np.add(g[0], g[1], out=weighted_all[lo : lo + step])
         weighted /= total
-        inadmissible = xs[:-1] == xs[1:]
+        inadmissible = ks[:, :-1] == ks[:, 1:]
         if min_leaf > 1:
             inadmissible |= (sizes < min_leaf).any(axis=0)
         weighted[inadmissible] = math.inf
@@ -269,14 +278,13 @@ def best_split(
     f = int(cols[col])
     if col >= lo:
         # The column is in the last block, whose sort and counts are at hand.
-        xs = xs[:, col - lo]
-        left_counts = counts[0, :c, j, col - lo]
+        order = order[col - lo]
+        left_counts = counts[0, :c, col - lo, j]
     else:
-        x = ds.features[idx, f]
-        order = x.argsort()
-        xs = x[order]
+        order = keys[f, idx].argsort(kind="stable")
         left_counts = units[:c, order[: j + 1]].sum(axis=1)
-    threshold = _midpoint(float(xs[j]), float(xs[j + 1]))
+    a, b = ds.features[idx[order[j : j + 2]], f].tolist()
+    threshold = _midpoint(a, b)
     left = tuple(int(v) for v in left_counts.tolist())
     right = tuple(total_k - left_k for total_k, left_k in zip(parent, left))
     return Split(feature=f, threshold=threshold, left_counts=left, right_counts=right)

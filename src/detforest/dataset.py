@@ -43,6 +43,8 @@ class Dataset:
     n: int = field(init=False)
     p: int = field(init=False)
     c: int = field(init=False)
+    # (features, rank_keys(features)): the keys hold only for that array.
+    _keys: tuple | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -78,6 +80,35 @@ class Dataset:
                 raise ValueError(f"row {r} sums to {sums[r]!r}, expected {COMPOSITION_SUM}")
         self.features.setflags(write=False)
         self.labels.setflags(write=False)
+
+    def rank_keys(self) -> np.ndarray:
+        """The read-only (p, n) dense ranks of the features, one row per feature.
+
+        keys[j, i] is the number of distinct values of column j below
+        features[i, j]: equal values (0.0 and -0.0 among them) share a key,
+        and keys rise with the value, so sorting a column's keys sorts its
+        values.  The keys are uint16 while every key fits and uint32
+        otherwise.  They are built on first use, one column at a time, and
+        kept with the feature array they were built from: a Dataset given
+        another array builds new keys.  Memory is the keys plus one column's
+        temporaries, and, at a switch to uint32, the uint16 keys so far.
+        """
+        if self._keys is None or self._keys[0] is not self.features:
+            self._keys = (self.features, _rank_keys(self.features))
+        return self._keys[1]
+
+
+def _rank_keys(features: np.ndarray) -> np.ndarray:
+    """Dataset.rank_keys of a feature matrix, built one column at a time."""
+    n, p = features.shape
+    keys = np.empty((p, n), dtype=np.uint16)
+    for j in range(p):
+        ranks = np.unique(features[:, j], return_inverse=True)[1]
+        if ranks.max() > np.iinfo(keys.dtype).max:
+            keys = keys.astype(np.uint32)
+        keys[j] = ranks
+    keys.setflags(write=False)
+    return keys
 
 
 @dataclass(frozen=True)
@@ -181,7 +212,8 @@ def _load_plain(path: str, label_column: str) -> tuple[np.ndarray, list[str], li
             # readline, not iteration, keeps fh.tell() usable after the header.
             header, k = _read_header(csv.reader(iter(fh.readline, "")), path, label_column)
             start = fh.tell()
-            if not _rows_are_plain(fh):
+            lines = _plain_lines(fh)
+            if lines is None:
                 return None
             fh.seek(start)
             p = len(header) - 1
@@ -191,36 +223,50 @@ def _load_plain(path: str, label_column: str) -> tuple[np.ndarray, list[str], li
             rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
     except (OSError, ValueError, csv.Error):
         return None
+    # numpy's reader skips blank lines, so a row short means a blank line.
+    if rows.size != lines:
+        return None
     features = np.hstack([rows["before"], rows["after"]])
-    if np.isnan(features).any():  # the C reader accepts NaN
+    # min() is NaN if any value is NaN, which the C reader accepts.
+    if math.isnan(features.min(initial=math.inf)):
         return None
     return features, rows["label"].tolist(), header[:k] + header[k + 1 :]
 
 
-def _rows_are_plain(fh) -> bool:
-    """Whether the rest of fh has rows, and no blank line, lone carriage return,
-    _NOT_PLAIN character or line longer than csv.field_size_limit()."""
+def _plain_lines(fh) -> int | None:
+    """The number of lines in the rest of fh, or None if there is none, or if
+    the first is blank, or if any holds a lone carriage return, a _NOT_PLAIN
+    character or more than csv.field_size_limit() characters.
+
+    A later blank line is counted, and the caller finds it as a row that
+    numpy's reader skipped.  The scan makes no Python call per line: each
+    search for a line end takes the last one within the limit.
+    """
     limit = csv.field_size_limit()
-    empty, last, line = True, "\n", 0  # the header ended a line
+    lines, line, last = 0, 0, "\n"  # the header ended a line
     while chunk := fh.read(_SCAN_CHARS):
         if chunk[-1] == "\r":
             chunk += fh.read(1)
-        text = last + chunk
+        # Only the first chunk starts a line with no line read before it.
+        # numpy's reader would skip a blank first line, and warn of a file
+        # with no data if every line were blank.
+        if lines == 0 and last == "\n" and chunk.startswith(("\n", "\r\n")):
+            return None
         # `line` characters of the current line were read before `start`.
         start = 0
-        while (end := chunk.find("\n", start, start + limit + 1 - line)) >= 0:
+        while (end := chunk.rfind("\n", start, start + limit + 1 - line)) >= 0:
             start, line = end + 1, 0
         line += len(chunk) - start
         if (
             line > limit
             or any(c in chunk for c in _NOT_PLAIN)
-            or "\n\n" in text
-            or "\n\r\n" in text
-            or chunk.count("\r") != chunk.count("\r\n")
+            or ("\r" in chunk and chunk.count("\r") != chunk.count("\r\n"))
         ):
-            return False
-        empty, last = False, chunk[-1]
-    return not empty
+            return None
+        lines += chunk.count("\n")
+        last = chunk[-1]
+    # A last line without a line end counts; nothing read at all is None.
+    return lines + (last != "\n") or None
 
 
 def _map_labels(raw: list[str], label_column: str) -> np.ndarray:

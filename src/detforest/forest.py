@@ -172,6 +172,7 @@ def fit(ds: Dataset, split: SplitIndices, cfg: ForestConfig, n_workers: int = 1)
     cfg.resolved_mtry(ds.p)  # an mtry above p fails before the first tree
     train = _row_indices(split.train, ds.n, "split has no training rows", "split training indices")
     skip_sampling = not cfg.bootstrap and cfg.sample_fraction == 1.0
+    ds.rank_keys()  # built here, once, rather than by each worker's first node
 
     def build(k: int) -> DecisionTree:
         rng = derive_stream(cfg.seed, k)

@@ -30,7 +30,7 @@ from detforest import (
 )
 from detforest.cart import BLOCK_CELLS, TieBreak, _midpoint
 from detforest.cli import _CONFIG_HEADER, ConfigError
-from detforest.dataset import COMPOSITION_SUM, _map_labels, _quantile_linear
+from detforest.dataset import _NOT_PLAIN, COMPOSITION_SUM, _map_labels, _quantile_linear, _read_header
 from detforest.forest import FOREST_SCHEMA, MTRY_ALL, Aggregation, Forest, ForestConfig
 from detforest.prng import SYNTH_STREAM, derive_stream, next_u64_block
 
@@ -343,6 +343,62 @@ def reference_load_csv(path: str, label_column: str, composition: bool = False) 
         raise ValueError(f"{path!r} contains no data rows")
     labels = _map_labels(raw_labels, label_column)
     return Dataset(np.array(rows, dtype=np.float64), labels, feature_names, composition=composition)
+
+
+def reference_load_plain(path: str, label_column: str) -> tuple[np.ndarray, list[str], list[str]] | None:
+    """dataset._load_plain as it was before its scan counted lines.
+
+    It scans with reference_rows_are_plain, which refuses a blank line
+    before numpy's reader runs, and finds NaN through an n-by-p boolean.
+    The rest is verbatim.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, k = _read_header(csv.reader(iter(fh.readline, "")), path, label_column)
+            start = fh.tell()
+            if not reference_rows_are_plain(fh):
+                return None
+            fh.seek(start)
+            p = len(header) - 1
+            dtype = np.dtype(
+                [("before", np.float64, (k,)), ("label", object), ("after", np.float64, (p - k,))]
+            )
+            rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
+    except (OSError, ValueError, csv.Error):
+        return None
+    features = np.hstack([rows["before"], rows["after"]])
+    if np.isnan(features).any():  # the C reader accepts NaN
+        return None
+    return features, rows["label"].tolist(), header[:k] + header[k + 1 :]
+
+
+def reference_rows_are_plain(fh, scan_chars: int = 1 << 20) -> bool:
+    """The plain-file scan as it was: full-text searches and one find per line.
+
+    Whether the rest of fh has rows, and no blank line, lone carriage return,
+    _NOT_PLAIN character or line longer than csv.field_size_limit().
+    """
+    limit = csv.field_size_limit()
+    empty, last, line = True, "\n", 0  # the header ended a line
+    while chunk := fh.read(scan_chars):
+        if chunk[-1] == "\r":
+            chunk += fh.read(1)
+        text = last + chunk
+        # `line` characters of the current line were read before `start`.
+        start = 0
+        while (end := chunk.find("\n", start, start + limit + 1 - line)) >= 0:
+            start, line = end + 1, 0
+        line += len(chunk) - start
+        if (
+            line > limit
+            or any(c in chunk for c in _NOT_PLAIN)
+            or "\n\n" in text
+            or "\n\r\n" in text
+            or chunk.count("\r") != chunk.count("\r\n")
+        ):
+            return False
+        empty, last = False, chunk[-1]
+    return not empty
 
 
 def reference_generate_synthetic_formulas(n: int, p: int, seed: int) -> Dataset:

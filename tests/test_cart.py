@@ -510,6 +510,72 @@ class TestBestSplitMatchesReference:
             assert weighted_child_impurity(got) < feature_0 <= weighted_child_impurity(got) + TIE_TOL
 
 
+class TestRankKeyOrder:
+    """Ordering rows by rank keys gives the Split that sorting the values gave."""
+
+    # -0.0 and 0.0 are one value and one key; the subnormals sit just above.
+    VALUES = [0.0, -0.0, 5e-324, 1e-323, 2.2250738585072014e-308, 0.5, 1.0, 1e308]
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_tie_heavy_columns(self, data):
+        c = data.draw(st.integers(2, 3), label="classes")
+        n = data.draw(st.integers(2, 40), label="rows")
+        p = data.draw(st.integers(1, 4), label="features")
+        columns = []
+        for _ in range(p):
+            values = data.draw(
+                st.lists(st.sampled_from(self.VALUES), min_size=2, max_size=4, unique_by=repr), label="values"
+            )
+            columns.append(data.draw(st.lists(st.sampled_from(values), min_size=n, max_size=n), label="column"))
+        labels = data.draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n), label="labels")
+        labels[0] = c - 1
+        ds = tiny_dataset(columns, labels)
+        rows = np.array(
+            data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True), label="rows")
+        )
+        weights = None
+        if data.draw(st.booleans(), label="weighted"):
+            counts = st.lists(st.integers(1, 4), min_size=rows.size, max_size=rows.size)
+            weights = np.array(data.draw(counts, label="counts"), dtype=np.float64)
+        parent = tuple(int(v) for v in np.bincount(ds.labels[rows], weights=weights, minlength=ds.c))
+        candidates = data.draw(st.permutations(range(p)), label="draw order")
+        cfg = ForestConfig(
+            mtry=p,
+            min_node_size=data.draw(st.integers(1, 4), label="min_node_size"),
+            node_size_semantics=data.draw(st.sampled_from(list(NodeSizeSemantics)), label="semantics"),
+            tie_break=data.draw(st.sampled_from(list(TieBreak)), label="tie-break"),
+        )
+        cells = data.draw(st.sampled_from([1, BLOCK_CELLS]), label="block cells")
+        with mock.patch("detforest.cart.BLOCK_CELLS", cells):
+            got = best_split(ds, rows, candidates, parent, cfg, weights)
+        expected = reference_best_split(ds, rows, candidates, parent, cfg, weights)
+        assert repr(got) == repr(expected)
+
+    @pytest.mark.parametrize("semantics", list(NodeSizeSemantics))
+    @pytest.mark.parametrize("tie_break", list(TieBreak))
+    def test_uint32_keys(self, tie_break, semantics):
+        # Column 0 has 70000 distinct values, so its keys need 32 bits;
+        # column 1 has five, and ties every row with thousands of others.
+        n = 70_000
+        gen = np.random.default_rng(5)
+        values = gen.permutation(n) / 8.0
+        ds = Dataset(
+            np.column_stack([values, gen.integers(0, 5, size=n) * 0.25]),
+            (values % 3 + gen.integers(0, 2, size=n)) % 3,
+            ["a", "b"],
+        )
+        assert ds.rank_keys().dtype == np.uint32
+        rows = gen.permutation(n)[:66_000]
+        cfg = _grow_cfg(mtry=2, min_node_size=1000, node_size_semantics=semantics, tie_break=tie_break)
+        for weights in (None, gen.integers(1, 4, size=rows.size).astype(np.float64)):
+            parent = tuple(int(v) for v in np.bincount(ds.labels[rows], weights=weights, minlength=ds.c))
+            for candidates in ([0, 1], [1, 0], [1]):
+                got = best_split(ds, rows, candidates, parent, cfg, weights)
+                assert got is not None
+                assert repr(got) == repr(reference_best_split(ds, rows, candidates, parent, cfg, weights))
+
+
 class TestGrowOnCounts:
     """Growing on distinct rows with in-bag counts changes no tree."""
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -153,6 +154,61 @@ class TestDatasetValidation:
         # Gaps in integer labels are preserved, not compacted.
         ds = tiny_dataset([[1.0, 2.0, 3.0]], [0, 2, 2])
         assert ds.c == 3
+
+
+def _reference_ranks(column: list[float]) -> list[int]:
+    """Each value's index among the column's sorted distinct values."""
+    rank = {v: r for r, v in enumerate(sorted(set(column)))}
+    return [rank[v] for v in column]
+
+
+class TestRankKeys:
+    @given(
+        st.lists(
+            st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1e-323, 0.5, 1.0, 1e308]), min_size=3, max_size=3),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_keys_are_dense_ranks(self, rows):
+        ds = Dataset(np.array(rows), np.zeros(len(rows), dtype=np.int64), ["a", "b", "c"])
+        keys = ds.rank_keys()
+        assert keys.dtype == np.uint16 and keys.shape == (3, len(rows))
+        assert not keys.flags.writeable
+        for j in range(3):
+            assert keys[j].tolist() == _reference_ranks(ds.features[:, j].tolist())
+
+    def test_uint16_while_every_key_fits(self):
+        # 65536 distinct values still fit 16 bits; one more needs 32, and
+        # the switch keeps the keys of the columns before it.
+        n = 65_537
+        few = np.arange(n) % 3 * 1.5
+        for distinct, dtype in ((n - 1, np.uint16), (n, np.uint32)):
+            many = np.minimum(np.arange(n), distinct - 1) * 0.125
+            ds = Dataset(np.column_stack([few, many]), np.zeros(n, dtype=np.int64), ["few", "many"])
+            keys = ds.rank_keys()
+            assert keys.dtype == dtype
+            assert keys[0].tolist() == _reference_ranks(few.tolist())
+            assert keys[1].tolist() == _reference_ranks(many.tolist())
+
+    def test_keys_follow_the_feature_array(self):
+        ds = tiny_dataset([[3.0, 1.0, 2.0], [0.0, 0.0, 1.0]], [0, 1, 0])
+        keys = ds.rank_keys()
+        assert ds.rank_keys() is keys
+        assert keys.tolist() == [[2, 0, 1], [0, 0, 1]]
+        other = np.array([[1.0, 5.0], [2.0, 4.0], [3.0, 3.0]])
+        replaced = dataclasses.replace(ds, features=other)
+        assert replaced.rank_keys().tolist() == [[0, 1, 2], [2, 1, 0]]
+        assert ds.rank_keys() is keys
+        ds.features = other[::-1]
+        assert ds.rank_keys().tolist() == [[2, 1, 0], [0, 1, 2]]
+
+    def test_keys_build_no_n_by_p_temporary(self):
+        # The keys plus one column's temporaries (about 60 bytes a row): a
+        # second copy of the keys, or any n-by-p temporary, would not fit.
+        n, p = 20000, 87
+        features = generate_synthetic_formulas(n, p, 0).features
+        assert warm_traced_peak(dataset._rank_keys, features) < n * p * 2 + 100 * n
 
 
 class TestCsvRoundTrip:

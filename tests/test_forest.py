@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -342,6 +343,27 @@ class TestWorkers:
         f = fit(ds, split, cfg, n_workers=n_workers)
         assert started == ([] if threads is None else [threads])
         assert forest_to_json(f) == forest_to_json(fit(ds, split, cfg))
+
+    def test_rank_keys_built_once_before_the_workers(self, monkeypatch):
+        import detforest.dataset as dataset_module
+
+        builds = []
+        build = dataset_module._rank_keys
+
+        def counted(features):
+            builds.append(threading.current_thread() is threading.main_thread())
+            return build(features)
+
+        monkeypatch.setattr(dataset_module, "_rank_keys", counted)
+        monkeypatch.setattr("detforest.forest.os.cpu_count", lambda: 4)
+        cfg = ForestConfig(n_trees=8, seed=11)
+        ds = generate_synthetic_formulas(300, 12, 0)
+        split = train_test_split(ds, 0.75, 0)
+        parallel = forest_to_json(fit(ds, split, cfg, n_workers=4))
+        assert builds == [True]
+        serial = forest_to_json(fit(dataclasses.replace(ds), split, cfg, n_workers=1))
+        assert builds == [True, True]
+        assert parallel == serial
 
     @pytest.mark.parametrize("n_workers", [0, -1, 2.0, True, "2", None])
     def test_worker_count_must_be_a_positive_int(self, n_workers):
