@@ -46,11 +46,15 @@ def canonicalize(tree: DecisionTree) -> CanonicalTree:
     """Map every node to its CanonicalNode, in preorder.
 
     Two trees are canonically equal iff canonicalize(a) == canonicalize(b).
+    Equal forms within one result are one object: compare forms with ==,
+    never with `is`.
     """
-    return tuple(
-        CanonicalNode(depth, node.class_counts, isinstance(node, Internal))
-        for node, depth in iter_nodes(tree)
-    )
+    forms: dict[tuple, CanonicalNode] = {}
+    out = []
+    for node, depth in iter_nodes(tree):
+        key = (depth, node.class_counts, isinstance(node, Internal))
+        out.append(forms.get(key) or forms.setdefault(key, CanonicalNode(*key)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,8 @@ class DecisionTree:
     i + 1.  Nothing in a tree refers to another node object, so equality,
     hashing and copying never recurse.  A node's size and impurity are
     sum(class_counts) and gini(class_counts), so no node stores them.
+    Leaves with equal class counts may be one object, within a tree or
+    across a loaded forest: compare nodes with ==, never with `is`.
     """
 
     nodes: tuple[TreeNode, ...]
@@ -340,11 +342,14 @@ def grow_tree(ds: Dataset, row_indices: np.ndarray, cfg: ForestConfig, rng: RngS
     # known: the right child's work item carries the parent's record fields
     # but the right position, and the slot holds None until then.
     nodes: list[TreeNode | None] = []
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one object per distinct class-count tuple
+    # One leaf per distinct class-count tuple, whose tuple every node with
+    # those counts holds.  Child positions occur once per tree: no sharing.
+    leaves: dict[tuple[int, ...], Leaf] = {}
     work: list[tuple] = [(rows, weights, class_counts_of(ds.labels[idx], ds.c), 0, None)]
     while work:
         node_rows, node_weights, counts, depth, parent = work.pop()
-        counts = shared.setdefault(counts, counts)
+        leaf = leaves.get(counts) or leaves.setdefault(counts, Leaf(counts))
+        counts = leaf.class_counts
         if parent is not None:
             i, sp, pc = parent
             nodes[i] = Internal(sp.feature, sp.threshold, i + 1, len(nodes), pc)
@@ -354,14 +359,14 @@ def grow_tree(ds: Dataset, row_indices: np.ndarray, cfg: ForestConfig, rng: RngS
             or (cfg.max_depth is not None and depth >= cfg.max_depth)
             or (cfg.node_size_semantics is NodeSizeSemantics.MIN_SPLIT and total < cfg.min_node_size)
         ):
-            nodes.append(Leaf(counts))
+            nodes.append(leaf)
             continue
 
         # The first mtry entries of the node's permutation, as draw_candidates.
         candidates = permute(next(partner_rows))[:mtry]
         sp = best_split(ds, node_rows, candidates, counts, cfg, node_weights)
         if sp is None:
-            nodes.append(Leaf(counts))
+            nodes.append(leaf)
             continue
 
         mask = ds.features[node_rows, sp.feature] <= sp.threshold

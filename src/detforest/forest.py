@@ -345,8 +345,11 @@ def _tree_nodes(raw: list, shared: dict) -> tuple[Leaf | Internal, ...]:
 
     Every check is made but the two that need the forest's header, which
     _tree makes.  Each node's document is freed once read.  shared maps
-    each class-count tuple met in one load to its first copy and its gini,
-    so that equal counts are one object and each gini is computed once.
+    each class-count tuple met in one load to its leaf and its gini, and
+    each child index to its first copy (an int key never equals a tuple
+    key), so that equal leaves, counts and child indices are one object
+    and each gini is computed once.  Thresholds are never shared: 0.0 ==
+    -0.0, but their bits differ.
     """
     nodes: list[Leaf | Internal] = []
     for i, nd in enumerate(raw):
@@ -359,18 +362,19 @@ def _tree_nodes(raw: list, shared: dict) -> tuple[Leaf | Internal, ...]:
         # best_split counts rows in float64, exact up to 2**53: no fit makes more.
         if not 1 <= total <= 2**53 or sum(counts) != total or min(counts) < 0:
             raise ValueError(f"node {i} has n_samples {total} and class counts {list(counts)}")
-        counts, counts_gini = shared.get(counts) or shared.setdefault(counts, (counts, gini(counts)))
+        leaf, counts_gini = shared.get(counts) or shared.setdefault(counts, (Leaf(counts), gini(counts)))
         if g != counts_gini:
             raise ValueError(f"node {i} stores gini {g!r}, not the gini of its class counts")
         if not is_split:
-            nodes.append(Leaf(counts))
+            nodes.append(leaf)
             continue
         feature = _int(nd["feature"], f"node {i} feature")
         threshold = _float(nd["threshold"], f"node {i} threshold")
         if not math.isfinite(threshold):
             raise ValueError(f"node {i} has non-finite threshold {threshold!r}")
         left, right = _int(nd["left"], f"node {i} left"), _int(nd["right"], f"node {i} right")
-        nodes.append(Internal(feature, threshold, left, right, counts))
+        left, right = shared.setdefault(left, left), shared.setdefault(right, right)
+        nodes.append(Internal(feature, threshold, left, right, leaf.class_counts))
 
     # One walk from the root, left child first, must meet node k at step k
     # and every node once: this rejects shared children, cycles and orphans.
@@ -429,8 +433,9 @@ def forest_from_json(text: str) -> Forest:
     json calls a hook on each object as soon as it is decoded, and the hook
     builds each tree document's nodes there and drops its node documents,
     so one tree's parsed document exists at a time, whatever the key order.
-    The checks that need the header follow the parse.  Equal class-count
-    tuples are one object across the forest.
+    The checks that need the header follow the parse.  Equal leaves,
+    class-count tuples and child indices are one object across the forest
+    (see _tree_nodes).
     """
     shared: dict = {}
 

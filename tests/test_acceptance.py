@@ -29,11 +29,9 @@ from detforest import (
     derive_stream,
     fit,
     forest_to_json,
-    generate_synthetic_formulas,
     gini,
     grow_tree,
     predict_classes,
-    train_test_split,
 )
 from detforest.cart import (
     Internal,
@@ -45,7 +43,7 @@ from detforest.cart import (
 )
 from detforest.cli import PRESETS
 
-from helpers import duplicated_feature_dataset, exhaustive_split_oracle
+from helpers import desk_data, desk_forest, duplicated_feature_dataset, exhaustive_split_oracle
 
 
 @contextmanager
@@ -69,23 +67,9 @@ def criterion(num: int, label: str, budget_s: float):
     )
 
 
-# Lazily built shared artifacts; the build cost lands inside the timed block
-# of whichever criterion touches each artifact first.
-_cache: dict = {}
-
-
-def _desk() -> tuple[Dataset, "SplitIndices"]:
-    if "desk" not in _cache:
-        ds = generate_synthetic_formulas(4598, 87, 0)
-        _cache["desk"] = (ds, train_test_split(ds, 0.8, 0))
-    return _cache["desk"]
-
-
-def _full50():
-    if "full50" not in _cache:
-        ds, split = _desk()
-        _cache["full50"] = fit(ds, split, ForestConfig(seed=0), n_workers=4)
-    return _cache["full50"]
+# helpers builds the desk data and the default 50-tree forest once per
+# session; the build cost lands inside the timed block of whichever test
+# touches each first.
 
 
 def test_criterion_1_gini_examples_and_range(capfd):
@@ -165,7 +149,7 @@ def test_criterion_3_tie_policy_changes_bits_not_structure(capfd):
 
 def test_criterion_4_node_size_default_changes_structure(capfd):
     with capfd.disabled(), criterion(4, "min-split 10 vs 1 changes the derandomized tree", 60.0):
-        ds, split = _desk()
+        ds, split = desk_data()
         base = PRESETS["table3"].config()
 
         def tree(min_node: int, seed: int):
@@ -185,7 +169,7 @@ def test_criterion_4_node_size_default_changes_structure(capfd):
 
 def test_criterion_5_node_size_semantics_shape_shallow_trees(capfd):
     with capfd.disabled(), criterion(5, "split-threshold vs leaf-floor node sizes", 60.0):
-        ds, split = _desk()
+        ds, split = desk_data()
 
         def preset_tree(name: str, seed: int):
             cfg = dataclasses.replace(PRESETS[name].config(), seed=seed)
@@ -234,7 +218,7 @@ def _disagreements(forest: Forest, rows: np.ndarray) -> int:
 
 def test_criterion_6_aggregation_modes_can_disagree(capfd):
     with capfd.disabled(), criterion(6, "vote vs mean-probability disagreement", 120.0):
-        ds, split = _desk()
+        ds, split = desk_data()
         test_rows = np.asarray(split.test, dtype=np.intp)
 
         depth5 = fit(
@@ -244,7 +228,7 @@ def test_criterion_6_aggregation_modes_can_disagree(capfd):
         assert disagree >= 1, "impure leaves must produce >= 1 disagreement"
         assert disagree == 45  # pinned for seed 0
 
-        full = _full50()
+        full = desk_forest()
         agree = len(test_rows) - _disagreements(full, ds.features[test_rows])
         assert agree == len(test_rows) == 920, (
             f"pure leaves must agree everywhere, got {agree}/{len(test_rows)}"
@@ -253,7 +237,7 @@ def test_criterion_6_aggregation_modes_can_disagree(capfd):
 
 def test_criterion_7_parallel_training_is_byte_stable(capfd):
     with capfd.disabled(), criterion(7, "repeat runs and worker counts give identical bytes", 120.0):
-        ds, split = _desk()
+        ds, split = desk_data()
         cfg = ForestConfig(n_trees=8, seed=0)
         outputs = [
             forest_to_json(fit(ds, split, cfg, n_workers=w))
@@ -264,7 +248,7 @@ def test_criterion_7_parallel_training_is_byte_stable(capfd):
 
 def test_criterion_8_derandomized_forest_grows_one_tree(capfd):
     with capfd.disabled(), criterion(8, "5 derandomized trees are canonically equal", 60.0):
-        ds, split = _desk()
+        ds, split = desk_data()
         cfg = dataclasses.replace(PRESETS["table3"].config(), n_trees=5)
         forest = fit(ds, split, cfg, n_workers=4)
         assert len(forest.trees) == 5
@@ -274,8 +258,8 @@ def test_criterion_8_derandomized_forest_grows_one_tree(capfd):
 
 def test_criterion_9_desk_benchmark_accuracy(capfd):
     with capfd.disabled(), criterion(9, "default 50-tree forest beats 0.85 accuracy", 120.0):
-        ds, split = _desk()
-        acc = accuracy(_full50(), ds, split.test)
+        ds, split = desk_data()
+        acc = accuracy(desk_forest(), ds, split.test)
         assert acc > 0.85
         assert acc == 783 / 920  # pinned for seed 0
 

@@ -32,7 +32,7 @@ from detforest import (
 from detforest.canonical import CanonicalNode
 from detforest.cart import Internal, Leaf, draw_candidates, trees_equal_exact
 
-from helpers import duplicated_feature_dataset, reference_canonicalize, tiny_dataset
+from helpers import duplicated_feature_dataset, one_object_per_value, reference_canonicalize, tiny_dataset
 
 
 def _leaf(counts):
@@ -72,6 +72,13 @@ class TestCanonicalize:
         )
         assert not trees_equal_exact(t1, t2)
         assert canonicalize(t1) == canonicalize(t2)
+
+    def test_equal_forms_are_one_object(self):
+        ds = generate_synthetic_formulas(300, 6, 2)
+        tree = grow_tree(ds, np.arange(ds.n), ForestConfig(), derive_stream(2, 0))
+        forms = canonicalize(tree)
+        assert len(set(forms)) < len(forms)
+        assert one_object_per_value(forms)
 
 
 class TestTreesEqualCanonical:

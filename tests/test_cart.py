@@ -859,25 +859,23 @@ class TestIterNodes:
         assert nodes[0][1] == 0
         root = tree.nodes[0]
         assert isinstance(root, Internal)
-        # left subtree appears entirely before the right subtree
-        left_ids = {id(n) for n, _ in _subtree_nodes(tree, root.left)}
-        seen_right = False
-        for node, _ in nodes[1:]:
-            if id(node) not in left_ids:
-                seen_right = True
-            else:
-                assert not seen_right, "left subtree must precede right"
+        # iter_nodes yields the node list in order, and the left subtree's
+        # positions all precede the right subtree's.  Positions, not ids:
+        # equal leaves may be one object.
+        assert [node for node, _ in nodes] == list(tree.nodes)
+        left = sorted(_subtree_positions(tree, root.left))
+        right = sorted(_subtree_positions(tree, root.right))
+        assert left == list(range(1, root.right))
+        assert right == list(range(root.right, len(tree.nodes)))
 
 
-def _subtree_nodes(tree, i):
-    stack = [(i, 0)]
+def _subtree_positions(tree, i):
+    stack = [i]
     while stack:
-        i, d = stack.pop()
-        n = tree.nodes[i]
-        yield n, d
-        if isinstance(n, Internal):
-            stack.append((n.right, d + 1))
-            stack.append((n.left, d + 1))
+        i = stack.pop()
+        yield i
+        if isinstance(n := tree.nodes[i], Internal):
+            stack += (n.right, n.left)
 
 
 class TestTreesEqualExact:

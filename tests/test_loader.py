@@ -26,6 +26,7 @@ import detforest
 from detforest import (
     ForestConfig,
     Internal,
+    Leaf,
     canonicalize,
     fit,
     forest_from_json,
@@ -36,7 +37,7 @@ from detforest import (
     train_test_split,
 )
 
-from helpers import warm_traced_peak
+from helpers import one_object_per_value, warm_traced_peak
 
 
 def _valid_doc() -> dict:
@@ -328,28 +329,21 @@ def test_loader_peak_is_under_half_the_parse():
         assert warm_traced_peak(forest_from_json, doc) < warm_traced_peak(json.loads, doc) / 2
 
 
-def _counts_objects(trees) -> dict:
-    """Each distinct class-count tuple, with the ids of the objects holding
-    it: one id means that every node with those counts holds the same object."""
-    ids: dict = {}
-    for tree in trees:
-        for node in tree.nodes:
-            ids.setdefault(node.class_counts, set()).add(id(node.class_counts))
-    return ids
-
-
 def test_equal_counts_are_one_object():
     ds = generate_synthetic_formulas(300, 6, 2)
     forest = fit(ds, train_test_split(ds, 0.75, 2), ForestConfig(n_trees=4, seed=2))
-    # Within a fitted tree ...
+    # Within a fitted tree, the counts and the leaves ...
     for tree in forest.trees:
-        ids = _counts_objects([tree])
-        assert len(ids) < len(tree.nodes)
-        assert all(len(objects) == 1 for objects in ids.values())
+        leaves = [node for node in tree.nodes if isinstance(node, Leaf)]
+        assert len(set(leaves)) < len(leaves)
+        assert one_object_per_value(node.class_counts for node in tree.nodes)
+        assert one_object_per_value(leaves)
     # ... and across a loaded forest.
     loaded = forest_from_json(forest_to_json(forest))
     assert loaded == forest
-    assert all(len(objects) == 1 for objects in _counts_objects(loaded.trees).values())
+    nodes = [node for tree in loaded.trees for node in tree.nodes]
+    assert one_object_per_value(node.class_counts for node in nodes)
+    assert one_object_per_value(node for node in nodes if isinstance(node, Leaf))
 
 
 CLI_CASES = {name: json.dumps(_one_tree_doc(nodes)) for name, nodes, _ in BAD_TREES[:6]}
