@@ -412,9 +412,7 @@ def _trial_seeds(base_seed: int, trials: int) -> list[int]:
     return seeds.tolist()
 
 
-def run_trials(
-    ds: Dataset, split: SplitIndices, cfg: ForestConfig, trials: int, workers: int = 1
-) -> TrialRun:
+def run_trials(ds: Dataset, split: SplitIndices, cfg: ForestConfig, trials: int) -> TrialRun:
     """Fit cfg once per trial, each on its own seed from _trial_seeds(cfg.seed,
     trials), and compare the forests: tree tallies against the first tree,
     and, for two or more trials, their divergence on split.test."""
@@ -423,9 +421,7 @@ def run_trials(
     if trials < 1:
         raise ValueError(f"--trials must be >= 1, got {trials}")
     seeds = tuple(_trial_seeds(cfg.seed, trials))
-    forests = tuple(
-        fit(ds, split, dataclasses.replace(cfg, seed=seed), n_workers=workers) for seed in seeds
-    )
+    forests = tuple(fit(ds, split, dataclasses.replace(cfg, seed=seed)) for seed in seeds)
     trees = [tree for forest in forests for tree in forest.trees]
     reference = canonicalize(trees[0])
     divergence = None
@@ -485,7 +481,7 @@ def cmd_run(args) -> int:
     cfg = dataclasses.replace(cfg, **overrides)
 
     ds, split, origin = _load_data(args, seed)
-    run = run_trials(ds, split, cfg, args.trials, args.workers)
+    run = run_trials(ds, split, cfg, args.trials)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -632,13 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trees", type=int, default=None, help="override the preset tree count")
     p.add_argument("--tie-break", choices=[e.value for e in TieBreak], default=None)
     p.add_argument("--aggregation", choices=[e.value for e in Aggregation], default=None)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="tree-building threads, at most one per tree and per CPU: identical bytes for "
-        "any count, but no speed-up today (timings in the README, Parallelism)",
-    )
     p.add_argument("--out-dir", default="detforest-out", help="output directory")
     _add_csv_flags(p)
     _add_seed(p)

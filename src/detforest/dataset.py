@@ -31,8 +31,8 @@ SYNTH_BLOCK_VALUES = 1 << 16
 class Dataset:
     """Immutable feature matrix with class labels.
 
-    features : (n, p) float64, finite and >= 0
-    labels   : (n,) int64, values in [0, c)
+    features : (n, p) float64, finite and >= 0, given as integers or floats
+    labels   : (n,) int64, values in [0, c), given as integers
     c is always 1 + max(labels).
     """
 
@@ -47,8 +47,8 @@ class Dataset:
     _keys: tuple | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.features = numeric_array(self.features, "features").astype(np.float64, copy=False)
+        self.labels = np.asarray(self.labels)
         self.feature_names = tuple(self.feature_names)
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
@@ -59,8 +59,9 @@ class Dataset:
             raise ValueError("feature_names length must match feature count")
         if self.p == 0:
             raise ValueError("dataset has no feature column")
-        if self.n == 0:
+        if self.n == 0:  # before the labels' dtype: np.asarray(()) is float64
             raise ValueError("dataset must contain at least one row")
+        self.labels = numeric_array(self.labels, "labels", integers=True).astype(np.int64, copy=False)
         # min() is NaN, and fails the test, if any value is NaN; the boolean
         # matrices that locate the first bad cell are built only on failure.
         if not (self.features.min() >= 0.0 and self.features.max() < np.inf):
@@ -96,6 +97,19 @@ class Dataset:
         if self._keys is None or self._keys[0] is not self.features:
             self._keys = (self.features, _rank_keys(self.features))
         return self._keys[1]
+
+
+def numeric_array(values, what: str, integers: bool = False) -> np.ndarray:
+    """values as an array of integers, or of integers or floats, else ValueError.
+
+    numpy would otherwise drop an imaginary part, parse strings, read bools
+    as 0 and 1 and, for integers, truncate floats.
+    """
+    x = np.asarray(values)
+    kinds, name = ("iu", "integers") if integers else ("iuf", "integers or floats")
+    if x.dtype.kind not in kinds:
+        raise ValueError(f"{what} must be {name}, got dtype {x.dtype}")
+    return x
 
 
 def _rank_keys(features: np.ndarray) -> np.ndarray:

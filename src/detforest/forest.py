@@ -2,8 +2,8 @@
 
 Tree k always consumes the PRNG stream derived from (seed, k): first the
 bootstrap draw, then node-level candidate draws in preorder.  Because no
-tree ever touches another tree's stream, the forest is bit-identical no
-matter how many workers build it or in what order they finish.
+tree ever touches another tree's stream, each tree is the same whatever
+order the trees are grown in.
 
 Two aggregation modes exist because real packages disagree: majority vote
 (each tree votes the argmax of its leaf distribution) and mean probability
@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -39,7 +37,7 @@ from .cart import (
     gini,
     grow_tree,
 )
-from .dataset import Dataset, SplitIndices
+from .dataset import Dataset, SplitIndices, numeric_array
 from .prng import TRIAL_STREAM, RngState, bounded_uint_block, derive_stream, shuffle
 
 FOREST_SCHEMA = "detforest.forest.v1"
@@ -161,47 +159,39 @@ def _row_indices(
 def fit(ds: Dataset, split: SplitIndices, cfg: ForestConfig, n_workers: int = 1) -> Forest:
     """Train cfg.n_trees trees on the training rows of the split.
 
-    Tree k derives its own stream from (cfg.seed, k) and uses it for the
-    bootstrap draw and then for growth, so the result is independent of
-    worker count and completion order.  When bootstrap is off and the
-    fraction is 1 no sampling happens at all and every tree sees the full
-    training set (then only tie-breaking can distinguish the trees).
+    The trees are grown in order on the calling thread.  Tree k derives its
+    own stream from (cfg.seed, k) and uses it for the bootstrap draw and
+    then for growth, so tree k does not depend on any other tree.  When
+    bootstrap is off and the fraction is 1 no sampling happens at all and
+    every tree sees the full training set (then only tie-breaking can
+    distinguish the trees).
+
+    n_workers must be an int of at least 1 and has no other effect.  It is
+    kept only because perfbench/workloads.py still passes it; once the
+    benchmark stops passing it, it goes from here too.
     """
     if type(n_workers) is not int or n_workers < 1:
         raise ValueError(f"n_workers must be an integer >= 1, got {n_workers!r}")
     cfg.resolved_mtry(ds.p)  # an mtry above p fails before the first tree
     train = _row_indices(split.train, ds.n, "split has no training rows", "split training indices")
     skip_sampling = not cfg.bootstrap and cfg.sample_fraction == 1.0
-    ds.rank_keys()  # built here, once, rather than by each worker's first node
-
-    def build(k: int) -> DecisionTree:
+    trees = []
+    for k in range(cfg.n_trees):
         rng = derive_stream(cfg.seed, k)
-        if skip_sampling:
-            rows = train
-        else:
+        rows = train
+        if not skip_sampling:
             sample, rng = bootstrap_sample(rng, train.size, cfg.bootstrap, cfg.sample_fraction)
             rows = train[sample]
-        return grow_tree(ds, rows, cfg, rng)
-
-    # The pool starts one thread per submitted tree until max_workers.
-    threads = min(n_workers, cfg.n_trees, os.cpu_count() or 1)
-    if threads == 1:
-        trees = [build(k) for k in range(cfg.n_trees)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(pool.map(build, range(cfg.n_trees)))
+        trees.append(grow_tree(ds, rows, cfg, rng))
     return Forest(trees=tuple(trees), config=cfg, n_features=ds.p, n_classes=ds.c)
 
 
 def _check_matrix(f: Forest, features) -> np.ndarray:
     """features as a float64 (n, f.n_features) matrix of finite values, else ValueError.
 
-    Only integer and float dtypes pass: numpy would drop an imaginary part,
-    parse strings and read bools as 0 and 1.
+    Only integer and float dtypes pass (dataset.numeric_array).
     """
-    x = np.asarray(features)
-    if x.dtype.kind not in "iuf":
-        raise ValueError(f"features must be integers or floats, got dtype {x.dtype}")
+    x = numeric_array(features, "features")
     if x.ndim != 2 or x.shape[1] != f.n_features:
         raise ValueError(f"expected a 2-D matrix with {f.n_features} columns, got shape {x.shape}")
     x = x.astype(np.float64, copy=False)

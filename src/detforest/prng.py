@@ -1,10 +1,11 @@
 """Pinned, splittable pseudo-random number generation (SplitMix64).
 
 Every random decision in this package flows through this module, so that a
-64-bit seed fully determines a forest, bit for bit, on any machine and with
-any number of workers.  The generator is SplitMix64, chosen because its whole
-state transition is one addition and its output function is a short
-multiply-xor-shift chain -- trivial to re-implement exactly in any language.
+64-bit seed fully determines a forest, bit for bit, on any machine and in
+any order of growing its trees.  The generator is SplitMix64, chosen
+because its whole state transition is one addition and its output function
+is a short multiply-xor-shift chain -- trivial to re-implement exactly in
+any language.
 
 The algorithm, pinned exactly (all arithmetic mod 2**64):
 

@@ -74,7 +74,7 @@ def desk_data() -> tuple[Dataset, SplitIndices]:
 def desk_forest() -> Forest:
     """The default 50-tree forest, seed 0, on the desk data, fitted once."""
     ds, split = desk_data()
-    return fit(ds, split, ForestConfig(seed=0), n_workers=4)
+    return fit(ds, split, ForestConfig(seed=0))
 
 
 def one_object_per_value(values) -> bool:

@@ -42,6 +42,7 @@ from detforest.cart import (
     trees_equal_exact,
 )
 from detforest.cli import PRESETS
+from detforest.forest import bootstrap_sample
 
 from helpers import desk_data, desk_forest, duplicated_feature_dataset, exhaustive_split_oracle
 
@@ -221,9 +222,7 @@ def test_criterion_6_aggregation_modes_can_disagree(capfd):
         ds, split = desk_data()
         test_rows = np.asarray(split.test, dtype=np.intp)
 
-        depth5 = fit(
-            ds, split, ForestConfig(n_trees=50, max_depth=5, seed=0), n_workers=4
-        )
+        depth5 = fit(ds, split, ForestConfig(n_trees=50, max_depth=5, seed=0))
         disagree = _disagreements(depth5, ds.features[test_rows])
         assert disagree >= 1, "impure leaves must produce >= 1 disagreement"
         assert disagree == 45  # pinned for seed 0
@@ -236,21 +235,30 @@ def test_criterion_6_aggregation_modes_can_disagree(capfd):
 
 
 def test_criterion_7_parallel_training_is_byte_stable(capfd):
-    with capfd.disabled(), criterion(7, "repeat runs and worker counts give identical bytes", 120.0):
+    with capfd.disabled(), criterion(7, "repeat runs, and each tree regrown alone, give identical bytes", 120.0):
         ds, split = desk_data()
         cfg = ForestConfig(n_trees=8, seed=0)
-        outputs = [
-            forest_to_json(fit(ds, split, cfg, n_workers=w))
-            for w in (1, 1, 4, 4)
-        ]
-        assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
+        forest = fit(ds, split, cfg)
+        assert forest_to_json(fit(ds, split, cfg)) == forest_to_json(forest)
+        # Tree k depends on (seed, k) alone: grown by itself, last tree
+        # first, it is fit's tree k, so trees grown in any order, on any
+        # thread or process, give the forest's bytes.
+        train = np.asarray(split.train, dtype=np.intp)
+        regrown = {}
+        for k in reversed(range(cfg.n_trees)):
+            rng = derive_stream(cfg.seed, k)
+            sample, rng = bootstrap_sample(rng, train.size, cfg.bootstrap, cfg.sample_fraction)
+            regrown[k] = grow_tree(ds, train[sample], cfg, rng)
+            assert trees_equal_exact(regrown[k], forest.trees[k]), f"tree {k}"
+        alone = dataclasses.replace(forest, trees=tuple(regrown[k] for k in range(cfg.n_trees)))
+        assert forest_to_json(alone) == forest_to_json(forest)
 
 
 def test_criterion_8_derandomized_forest_grows_one_tree(capfd):
     with capfd.disabled(), criterion(8, "5 derandomized trees are canonically equal", 60.0):
         ds, split = desk_data()
         cfg = dataclasses.replace(PRESETS["table3"].config(), n_trees=5)
-        forest = fit(ds, split, cfg, n_workers=4)
+        forest = fit(ds, split, cfg)
         assert len(forest.trees) == 5
         reference = canonicalize(forest.trees[0])
         assert all(canonicalize(t) == reference for t in forest.trees)

@@ -562,7 +562,7 @@ class TestRankKeyOrder:
         values = gen.permutation(n) / 8.0
         ds = Dataset(
             np.column_stack([values, gen.integers(0, 5, size=n) * 0.25]),
-            (values % 3 + gen.integers(0, 2, size=n)) % 3,
+            ((values % 3 + gen.integers(0, 2, size=n)) % 3).astype(np.int64),
             ["a", "b"],
         )
         assert ds.rank_keys().dtype == np.uint32

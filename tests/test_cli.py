@@ -457,16 +457,13 @@ class TestRunDeterminism:
         assert all(type(seed) is int for seed in seeds)  # ForestConfig takes only ints
         assert _trial_seeds(7, 0) == []
 
-    def test_worker_count_does_not_change_output(self, dup_csv, tmp_path, capsys):
-        outs = [tmp_path / "w1", tmp_path / "w4"]
-        for out, workers in zip(outs, ("1", "4")):
-            rc = main(["run", "--preset", "table3", "--data", dup_csv,
-                       "--trees", "6", "--workers", workers, "--out-dir", str(out)])
-            assert rc == 0
-        capsys.readouterr()
-        assert (outs[0] / "forest-0.json").read_bytes() == (
-            outs[1] / "forest-0.json"
-        ).read_bytes()
+    def test_workers_option_is_gone(self, dup_csv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--preset", "table3", "--data", dup_csv,
+                  "--workers", "2", "--out-dir", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestRunTrials:

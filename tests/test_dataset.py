@@ -136,6 +136,47 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), ["a", "b"])
 
+    def test_empty_labels_of_any_dtype_name_the_missing_rows(self):
+        # np.array([]) is float64: the row count is checked before the dtype.
+        with pytest.raises(ValueError, match="at least one row"):
+            Dataset(np.zeros((0, 2)), np.array([]), ["a", "b"])
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.array([0.9, 1.9, 0.2, 1.5]),  # numpy would truncate to 0, 1, 0, 1
+            np.array([0.0, 1.0, 0.0, 1.0]),
+            np.array([False, True, False, True]),
+            np.array(["0", "1", "0", "1"]),
+            np.array([0, 1, 0, 1], dtype=object),
+        ],
+    )
+    def test_labels_must_be_integers(self, labels):
+        with pytest.raises(ValueError, match=f"labels must be integers, got dtype {labels.dtype}"):
+            Dataset(np.array([[1.0], [2.0], [3.0], [4.0]]), labels, ["a"])
+
+    @pytest.mark.parametrize(
+        "features",
+        [
+            np.array([["1.5"], ["2"]]),  # numpy would parse the strings
+            np.array([[True], [False]]),  # and read bools as 1 and 0
+            np.array([[1.0 + 2.0j], [2.0 + 0.0j]]),  # and drop the imaginary part
+            np.array([[1.0], [2.0]], dtype=object),
+        ],
+    )
+    def test_features_must_be_integers_or_floats(self, features):
+        with pytest.raises(ValueError, match=f"features must be integers or floats, got dtype {features.dtype}"):
+            Dataset(features, np.array([0, 1]), ["a"])
+
+    @pytest.mark.parametrize(
+        "feature_dtype, label_dtype",
+        [(np.int8, np.uint8), (np.uint16, np.int32), (np.float32, np.uint64), (np.float64, np.int64)],
+    )
+    def test_integer_and_float_dtypes_accepted(self, feature_dtype, label_dtype):
+        ds = Dataset(np.array([[1, 2], [3, 4]], dtype=feature_dtype), np.array([1, 0], dtype=label_dtype), ["a", "b"])
+        assert ds.features.dtype == np.float64 and ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 0]
+
     def test_no_feature_column_rejected(self):
         with pytest.raises(ValueError, match="no feature column"):
             Dataset(np.empty((2, 0)), np.array([0, 1]), [])

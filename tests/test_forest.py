@@ -308,66 +308,43 @@ class TestFit:
 
 
 class TestWorkers:
-    @pytest.mark.parametrize(
-        "n_workers, n_trees, cpus, threads",
-        [
-            (5000, 3, 4, 3),  # one thread per tree at most
-            (5000, 6, 4, 4),  # one thread per CPU at most
-            (2, 6, 4, 2),
-            (4, 1, 4, None),  # one thread: no pool
-            (4, 6, 1, None),
-            (4, 6, None, None),  # unknown CPU count counts as one
-        ],
-    )
-    def test_thread_count_is_capped(self, monkeypatch, n_workers, n_trees, cpus, threads):
+    def test_trees_grow_on_the_calling_thread(self, monkeypatch):
         import detforest.forest as forest_module
 
-        started = []
+        threads = []
+        grow = forest_module.grow_tree
 
-        class SerialPool:
-            """Stands in for ThreadPoolExecutor: records max_workers, maps serially."""
+        def recorded(*args):
+            threads.append(threading.current_thread())
+            return grow(*args)
 
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return list(map(fn, items))
-
-        monkeypatch.setattr(forest_module, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(forest_module.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(forest_module, "grow_tree", recorded)
+        monkeypatch.setattr("os.cpu_count", lambda: 4)  # room for four threads, were any started
         ds = generate_synthetic_formulas(40, 4, 0)
         split = train_test_split(ds, 0.75, 0)
-        cfg = ForestConfig(n_trees=n_trees, seed=3)
-        f = fit(ds, split, cfg, n_workers=n_workers)
-        assert started == ([] if threads is None else [threads])
-        assert forest_to_json(f) == forest_to_json(fit(ds, split, cfg))
+        fit(ds, split, ForestConfig(n_trees=6, seed=3), n_workers=4)
+        assert threads == [threading.current_thread()] * 6
 
-    def test_rank_keys_built_once_before_the_workers(self, monkeypatch):
+    def test_rank_keys_built_once_per_fit(self, monkeypatch):
         import detforest.dataset as dataset_module
 
         builds = []
         build = dataset_module._rank_keys
 
         def counted(features):
-            builds.append(threading.current_thread() is threading.main_thread())
+            builds.append(threading.current_thread())
             return build(features)
 
         monkeypatch.setattr(dataset_module, "_rank_keys", counted)
-        monkeypatch.setattr("detforest.forest.os.cpu_count", lambda: 4)
         cfg = ForestConfig(n_trees=8, seed=11)
         ds = generate_synthetic_formulas(300, 12, 0)
         split = train_test_split(ds, 0.75, 0)
-        parallel = forest_to_json(fit(ds, split, cfg, n_workers=4))
-        assert builds == [True]
-        serial = forest_to_json(fit(dataclasses.replace(ds), split, cfg, n_workers=1))
-        assert builds == [True, True]
-        assert parallel == serial
+        first = forest_to_json(fit(ds, split, cfg))
+        assert builds == [threading.current_thread()]
+        assert forest_to_json(fit(ds, split, cfg)) == first  # the keys are kept with ds
+        assert len(builds) == 1
+        assert forest_to_json(fit(dataclasses.replace(ds), split, cfg)) == first
+        assert len(builds) == 2
 
     @pytest.mark.parametrize("n_workers", [0, -1, 2.0, True, "2", None])
     def test_worker_count_must_be_a_positive_int(self, n_workers):
