@@ -35,7 +35,9 @@ from pathlib import Path
 from typing import Callable
 
 from .canonical import DivergenceReport, canonicalize, forest_divergence
-from .cart import DecisionTree, Internal, Leaf, NodeSizeSemantics, TieBreak, gini, trees_equal_exact
+from .cart import (
+    DecisionTree, Internal, Leaf, NodeSizeSemantics, TieBreak, class_counts_of, gini, trees_equal_exact,
+)
 from .dataset import (
     Dataset,
     SplitIndices,
@@ -445,7 +447,7 @@ def cmd_gen(args) -> int:
     seed = _resolve_seed(args.seed)
     ds = generate_synthetic_formulas(args.rows, args.features, seed)
     save_csv(ds, args.out)
-    counts = [int((ds.labels == k).sum()) for k in range(ds.c)]
+    counts = list(class_counts_of(ds.labels, ds.c))
     print(f"wrote {args.out}: {ds.n} rows, {ds.p} features, class counts {counts}")
     return 0
 

@@ -61,7 +61,7 @@ class Dataset:
             raise ValueError("dataset has no feature column")
         if self.n == 0:  # before the labels' dtype: np.asarray(()) is float64
             raise ValueError("dataset must contain at least one row")
-        self.labels = numeric_array(self.labels, "labels", integers=True).astype(np.int64, copy=False)
+        labels = numeric_array(self.labels, "labels", integers=True)
         # min() is NaN, and fails the test, if any value is NaN; the boolean
         # matrices that locate the first bad cell are built only on failure.
         if not (self.features.min() >= 0.0 and self.features.max() < np.inf):
@@ -70,8 +70,11 @@ class Dataset:
                 bad, kind = self.features < 0, "negative"
             r, col = np.argwhere(bad)[0]
             raise ValueError(f"{kind} feature value at row {r}, column {self.feature_names[col]!r}")
-        if self.labels.min() < 0:
+        if labels.min() < 0:
             raise ValueError("labels must be non-negative")
+        if int(labels.max()) > 2**63 - 1:  # before the cast, which would wrap it negative
+            raise ValueError(f"label {labels.max()} is above 2**63 - 1")
+        self.labels = labels.astype(np.int64, copy=False)
         self.c = int(self.labels.max()) + 1
         if self.composition:
             sums = self.features.sum(axis=1)
@@ -136,11 +139,11 @@ class SplitIndices:
 def load_csv(path: str, label_column: str, composition: bool = False) -> Dataset:
     """Load a dataset from a headered CSV file.
 
-    Feature columns keep file order.  Labels that are all plain non-negative
-    integers are mapped to their rank among the distinct labels (so labels
-    0..k-1 keep their values); anything else is mapped to 0, 1, 2, ... by
-    first appearance.  Parse failures name the offending row and column
-    (row numbers count data rows from 1, excluding the header).
+    Feature columns keep file order.  A label's class id is its rank among
+    the distinct labels: by value if int() reads all (each in [-2**63,
+    2**63 - 1]), else by the strings' code points.  So ids do not depend on
+    row order, and labels 0..k-1 keep their values.  Parse failures name the
+    offending row and column (data rows count from 1 after the header).
 
     A feature cell is any string ``float()`` accepts, except NaN.  Plain
     files (see _NOT_PLAIN) are parsed by numpy's C reader; every other file,
@@ -285,23 +288,17 @@ def _plain_lines(fh) -> int | None:
 
 def _map_labels(raw: list[str], label_column: str) -> np.ndarray:
     try:
-        ints = [int(cell) for cell in raw]
+        keys = [int(cell) for cell in raw]
     except ValueError:
-        ints = None
-    if ints is not None and min(ints) >= 0:
-        if max(ints) >= 2**63:
-            r = next(r for r, label in enumerate(ints, start=1) if label >= 2**63)
-            raise ValueError(f"label {raw[r - 1]!r} at row {r}, column {label_column!r} is above 2**63 - 1")
-        # Each label's rank among the distinct labels: dense class ids, so
-        # sparse labels make no empty classes, and 0..k-1 map to themselves.
-        return np.unique(np.array(ints, dtype=np.int64), return_inverse=True)[1]
-    seen: dict[str, int] = {}
-    out = np.empty(len(raw), dtype=np.int64)
-    for i, cell in enumerate(raw):
-        if cell not in seen:
-            seen[cell] = len(seen)
-        out[i] = seen[cell]
-    return out
+        keys = raw
+    else:
+        if min(keys) < -(2**63) or max(keys) >= 2**63:
+            r = next(r for r, label in enumerate(keys) if not -(2**63) <= label < 2**63)
+            side = "above 2**63 - 1" if keys[r] > 0 else "below -2**63"
+            raise ValueError(f"label {raw[r]!r} at row {r + 1}, column {label_column!r} is {side}")
+    # A dict, not np.unique: numpy's str dtype drops trailing NULs.
+    rank = {label: i for i, label in enumerate(sorted(set(keys)))}
+    return np.array([rank[label] for label in keys], dtype=np.int64)
 
 
 def save_csv(ds: Dataset, path: str, label_column: str = "label") -> None:

@@ -233,8 +233,7 @@ def _route(tree: DecisionTree, features: np.ndarray) -> list[tuple[Leaf, np.ndar
 
 def _scores(f: Forest, features: np.ndarray, agg: Aggregation) -> np.ndarray:
     """Per-row votes (each tree's leaf class with the most samples, the
-    lowest id on a tie) or mean leaf distributions, accumulated in tree
-    order; np.argmax of a row then gives exact ties to the lowest class id."""
+    lowest id on a tie) or mean leaf distributions, summed in tree order."""
     if agg is Aggregation.MAJORITY_VOTE:
         scores = np.zeros((features.shape[0], f.n_classes), dtype=np.int64)
         for tree in f.trees:
@@ -255,7 +254,9 @@ def predict_classes(
     f: Forest, features: np.ndarray, aggregation: Aggregation | None = None
 ) -> list[int]:
     """Predict a class id per row of a 2-D feature matrix, using the given
-    (or the configured) aggregation; exact ties go to the lowest class id."""
+    (or the configured) aggregation: the argmax of _scores, the lowest id
+    among equal floats.  Tied votes go to the lowest id; exactly tied mean
+    probabilities go to the larger float sum (exact sums: ROADMAP item 13)."""
     scores = _scores(f, _check_matrix(f, features), _aggregation(f, aggregation))
     return np.argmax(scores, axis=1).tolist()
 

@@ -347,15 +347,12 @@ def reference_canonicalize(tree: DecisionTree) -> tuple:
 def reference_load_csv(path: str, label_column: str, composition: bool = False) -> Dataset:
     """load_csv as it was before plain files went to numpy's C reader.
 
-    Every cell is parsed with float() in Python.  The rest is verbatim:
+    Every cell is parsed with float() in Python.  Feature columns keep file
+    order.  Parse failures name the offending row and column (row numbers
+    count data rows from 1, excluding the header).
 
-    Feature columns keep file order.  Labels that are all plain non-negative
-    integers are used as-is; anything else is mapped to 0, 1, 2, ... by
-    first appearance.  Parse failures name the offending row and column
-    (row numbers count data rows from 1, excluding the header).
-
-    The labels go through load_csv's own _map_labels, so plain non-negative
-    integers map to their rank among the distinct labels, as in load_csv.
+    The labels go through load_csv's own _map_labels, so each label's id is
+    its rank among the distinct labels, as in load_csv.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")

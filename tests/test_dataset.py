@@ -91,6 +91,13 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 1)), np.array([0, -1]), ["a"])
 
+    def test_uint64_label_above_int64_named_as_too_large(self):
+        # The cast to int64 once came first, so 2**63 read as a negative label.
+        with pytest.raises(ValueError, match=r"label 9223372036854775808 is above 2\*\*63 - 1"):
+            Dataset(np.ones((2, 1)), np.array([0, 2**63], dtype=np.uint64), ["a"])
+        ds = Dataset(np.ones((2, 1)), np.array([0, 2**63 - 1], dtype=np.uint64), ["a"])
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 2**63 - 1]
+
     def test_non_finite_feature_rejected(self):
         with pytest.raises(ValueError) as exc:
             Dataset(
@@ -325,11 +332,27 @@ class TestCsvRoundTrip:
         assert ds.features[:, 0].tolist() == [1.0, 3.0]
         assert ds.features[:, 1].tolist() == [2.0, 4.0]
 
-    def test_string_labels_mapped_by_first_appearance(self, tmp_path):
+    def test_string_labels_mapped_to_their_rank(self, tmp_path):
+        # By first appearance these were [0, 1, 0, 2].
         path = tmp_path / "strs.csv"
         path.write_text("a,label\n1.0,spam\n2.0,ham\n3.0,spam\n4.0,eggs\n")
         ds = load_csv(path, "label")
-        assert ds.labels.tolist() == [0, 1, 0, 2]
+        assert ds.labels.tolist() == [2, 1, 2, 0]
+
+    def test_label_with_a_trailing_nul_is_its_own_class(self):
+        # numpy's str dtype drops trailing NULs, so np.unique would merge
+        # them. csv.reader returns such a cell from Python 3.11 on.
+        assert dataset._map_labels(["a\x00", "a", "a\x00"], "label").tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize("labels, ids", [
+        (["-10", "-2", "-1"], [0, 1, 2]),
+        # As strings "-1" < "-10" < "-2", and first appearance gives 0, 1, 2.
+        (["-1", "-10", "-2", "-1"], [2, 0, 1, 2]),
+    ])
+    def test_negative_integer_labels_ranked_by_value(self, tmp_path, labels, ids):
+        path = tmp_path / "neg.csv"
+        path.write_text("a,label\n" + "".join(f"{i}.0,{label}\n" for i, label in enumerate(labels)))
+        assert load_csv(path, "label").labels.tolist() == ids
 
     def test_integer_labels_with_gaps_mapped_to_their_rank(self, tmp_path):
         path = tmp_path / "gaps.csv"

@@ -17,6 +17,7 @@ from detforest import (
     Forest,
     ForestConfig,
     NodeSizeSemantics,
+    SplitIndices,
     TieBreak,
     accuracy,
     derive_stream,
@@ -25,6 +26,7 @@ from detforest import (
     forest_to_json,
     forest_divergence,
     generate_synthetic_formulas,
+    load_csv,
     load_forest,
     predict_classes,
     predict_proba,
@@ -354,6 +356,49 @@ class TestWorkers:
             fit(ds, split, ForestConfig(n_trees=2), n_workers=n_workers)
 
 
+ROW_ORDER_CONFIGS = {
+    "table2-10-trees": dataclasses.replace(PRESETS["table2"].config(), n_trees=10),
+    "table3": PRESETS["table3"].config(),
+    "first-in-draw-order-min-leaf-5": ForestConfig(
+        n_trees=10, tie_break=TieBreak.FIRST_IN_DRAW_ORDER,
+        node_size_semantics=NodeSizeSemantics.MIN_LEAF, min_node_size=5,
+    ),
+}
+
+
+class TestCsvRowOrder:
+    """The same string-labelled rows in another order, with the split mapped
+    to match, grow the same forest: class ids are label ranks, not the order
+    in which a file first shows each label."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        ds = generate_synthetic_formulas(600, 12, 0)
+        names = ("none", "mild", "severe")
+        perm, _ = shuffle(derive_stream(7, 0), ds.n)
+        root, paths = tmp_path_factory.mktemp("row-order"), []
+        for name, order in (("file", range(ds.n)), ("permuted", perm)):
+            lines = [",".join(ds.feature_names) + ",label\n"]
+            lines += [",".join(map(repr, ds.features[i].tolist())) + f",{names[ds.labels[i]]}\n" for i in order]
+            paths.append(root / f"{name}.csv")
+            paths[-1].write_text("".join(lines), encoding="utf-8")
+        # First appearance would number the two files differently.
+        first_seen = [list(dict.fromkeys(names[ds.labels[i]] for i in order)) for order in (range(ds.n), perm)]
+        assert first_seen[0] != first_seen[1]
+        return [load_csv(path, "label") for path in paths], perm
+
+    @pytest.mark.parametrize("cfg", ROW_ORDER_CONFIGS.values(), ids=ROW_ORDER_CONFIGS.keys())
+    def test_permuted_file_grows_the_same_forest(self, files, cfg):
+        (ds, permuted), perm = files
+        position = np.argsort(perm)  # position[i]: where the permuted file holds row i
+        assert permuted.labels[position].tolist() == ds.labels.tolist()
+        split = train_test_split(ds, 0.8, 0)
+        mapped = SplitIndices(
+            train=tuple(position[list(split.train)].tolist()), test=tuple(position[list(split.test)].tolist())
+        )
+        assert forest_to_json(fit(permuted, mapped, cfg)) == forest_to_json(fit(ds, split, cfg))
+
+
 # Row selections that are not integer indices in [0, n), as functions of n.
 _BAD_ROWS = {
     "empty-list": lambda n: [],
@@ -445,6 +490,20 @@ class TestAggregation:
         probs = predict_proba(f, X)
         assert probs.tolist() == [[0.5, 0.5, 0.0]]
         assert predict_classes(f, X, MEAN) == [0]
+
+    # Leaf distributions (2/3, 0, 1/3) and (1/6, 5/6, 0) tie exactly at
+    # 5/12 for classes 0 and 1, but their float sums differ in the last bit.
+    EXACT_TIE = [(2, 0, 1), (1, 5, 0)]
+
+    def test_majority_vote_gives_an_exact_tie_to_the_lowest_class(self):
+        f = _leaf_forest(self.EXACT_TIE, 3)
+        proba = predict_proba(f, X)[0]
+        assert proba[0] < proba[1]  # so mean probability picks class 1
+        assert predict_classes(f, X, VOTE) == [0]
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
+    def test_mean_probability_gives_an_exact_tie_to_the_lowest_class(self):
+        assert predict_classes(_leaf_forest(self.EXACT_TIE, 3), X, MEAN) == [0]
 
     def test_mean_probability_uses_distributions_not_votes(self):
         # Vote winner is class 1 (two leaves lean 1), but the probability

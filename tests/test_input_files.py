@@ -270,6 +270,7 @@ BAD_CSV_CASES = [
     ("label-above-int64", "a,b,label\n1,2,99999999999999999999\n3,4,0\n", "at row 1, column 'label' is above"),
     ("label-above-int64-quoted", 'a,b,label\n1,2,"99999999999999999999"\n3,4,0\n', "at row 1, column 'label' is above"),
     ("label-2-to-the-63", "a,label\n1,9223372036854775807\n2,9223372036854775808\n", "'9223372036854775808' at row 2"),
+    ("label-below-int64", "a,label\n1,-9223372036854775808\n2,-9223372036854775809\n", "at row 2, column 'label' is below -2"),
 ]
 
 
