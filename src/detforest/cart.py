@@ -44,8 +44,16 @@ if TYPE_CHECKING:
 TIE_TOL = 1e-12
 
 # Cap on the classes x rows x candidates cells that best_split holds per
-# block: the size of its largest temporary arrays.
+# block: the size of its float count arrays, which it allocates once per
+# node.  Of 2**13..2**17, 2**15 was fastest on split searches replayed from
+# desk fits (BENCH_26.json).
 BLOCK_CELLS = 1 << 15
+
+# best_split packs the class counts of a node of at least this many rows x
+# candidates into int64 words, and counts a smaller node's classes with a
+# float cumsum of one-hot class rows.  Gates of 2**11..2**15 replayed
+# within 2.5% of each other, 2**12 and 2**13 fastest.
+PACKED_CELLS = 1 << 13
 
 # Cap on the bounded draws in one block of grow_tree's candidate draws
 # (p - 1 swap partners per node); a tree's unused tail of a block is wasted.
@@ -181,6 +189,12 @@ def best_split(
     w copies of the row: copies share their values, so the boundaries
     between them are inadmissible, and every admissible boundary sees the
     same integer left size, right size and left class counts either way.
+    Float weights must hold integers (ValueError otherwise); they are
+    counted as int64.
+
+    Under MIN_LEAF a node of total below 2 * min_node_size leaves a child
+    under the limit at every boundary, so None is returned before any key
+    is read.
 
     Rows are ordered by the dataset's dense integer ranks
     (`Dataset.rank_keys`, built once per dataset), not by their float
@@ -203,14 +217,38 @@ def best_split(
     the same order, as a scan of one feature and one side at a time, so the
     result depends neither on the block size nor on how the sort orders
     rows with equal values.
+
+    A block's left class counts are prefix sums of each row's counts along
+    its sort order.  A node of fewer than PACKED_CELLS rows x candidates
+    takes them as one float64 cumsum of a (c + 1)-row one-hot matrix per
+    block.  A larger node packs each row's counts into int64 words instead:
+    classes 0 to c - 2, and, if rows are weighted, the row's size, each get
+    a field of width = sum(parent).bit_length() bits, 63 // width fields to
+    a word, and fields that do not fit go to further words.  No prefix sum
+    of a field exceeds sum(parent) < 2**width, so no field carries into the
+    next, and the top field of a word stays below bit 63.  One int64 cumsum
+    per word and block then gives every field's prefix counts, shifted and
+    masked out into the same float64 count array.  Unweighted left sizes
+    are 1 .. n - 1, and the last class is the size minus the other classes.
+    Every count is the integer the float cumsum gives, so the gate changes
+    no result.
     """
     idx = np.asarray(row_indices, dtype=np.intp)
     n = idx.size
     if n == 0:
         raise ValueError("row_indices must be non-empty")
-    w = None if weights is None else np.asarray(weights, dtype=np.float64)
-    if w is not None and w.shape != idx.shape:
-        raise ValueError(f"weights must have shape {idx.shape}, got {w.shape}")
+    w = None
+    if weights is not None:
+        w = np.asarray(weights)
+        if w.shape != idx.shape:
+            raise ValueError(f"weights must have shape {idx.shape}, got {w.shape}")
+        # Packed counts would truncate a fraction, so float weights are
+        # checked; integer ones are taken as given.
+        if w.dtype.kind not in "fiu" or (
+            w.dtype.kind == "f" and not ((w >= 1) & (w < 2.0**63) & (w == np.floor(w))).all()
+        ):
+            raise ValueError("weights must be positive integers")
+        w = w.astype(np.int64, copy=False)
     if cfg.tie_break is TieBreak.LOWEST_FEATURE_INDEX:
         candidates = sorted(candidates)
     cols = np.asarray(candidates, dtype=np.intp)
@@ -219,21 +257,45 @@ def best_split(
     total = sum(parent)
     c = ds.c
     min_leaf = cfg.min_node_size if cfg.node_size_semantics is NodeSizeSemantics.MIN_LEAF else 1
+    if total < 2 * min_leaf:
+        return None  # every boundary leaves a child below min_leaf
 
+    y = ds.labels[idx]
+    width = total.bit_length()
+    packed = n * cols.size >= PACKED_CELLS and width <= 63  # a field fits a word
+    if packed:
+        # Field f < c - 1 holds a row's count in class f, and, if rows are
+        # weighted, field c - 1 its size (see the docstring).
+        per_word = 63 // width
+        fields = c if w is not None else c - 1
+        unit = np.ones(n, dtype=np.int64) if w is None else w
+        words = np.zeros((-(-fields // per_word), n), dtype=np.int64)
+        for f in range(fields):
+            word, slot = divmod(f, per_word)
+            field = unit if f == c - 1 else np.where(y == f, unit, 0)
+            words[word] += field << (slot * width)
+        mask = (1 << width) - 1
+    else:
+        # units[k, i] (k < c) is row i's count (its weight, or 1) if its
+        # class is k, and units[c, i] is its count: cumsums of units along a
+        # sort order are the left class counts and the left size at every
+        # boundary.
+        units = np.empty((c + 1, n))
+        units[c] = 1.0 if w is None else w
+        np.equal(y, np.arange(c)[:, None], out=units[:c])
+        if w is not None:
+            units[:c] *= units[c]
     # Counts are held as float64 (exact below 2**53): each division below is
     # then the same IEEE operation as on integer counts, minus the casts.
-    # units[k, i] (k < c) is row i's count (its weight, or 1) if its class is
-    # k, and units[c, i] is its count: cumsums of units along a sort order
-    # are the left class counts and the left size at every boundary.
-    units = np.empty((c + 1, n))
-    units[c] = 1.0 if w is None else w
-    np.equal(ds.labels[idx], np.arange(c)[:, None], out=units[:c])
-    if w is not None:
-        units[:c] *= w
     totals = np.array((*parent, total), dtype=np.float64)[:, None, None]
     # Weighted child impurity per (candidate, boundary); inf where inadmissible.
     weighted_all = np.empty((cols.size, n - 1))
-    step = max(1, BLOCK_CELLS // (c * n))
+    step = min(cols.size, max(1, BLOCK_CELLS // (c * n)))
+    # The count arrays are allocated once per node; a shorter last block
+    # uses their first candidates.
+    counts_buf = np.empty((2, c + 1, step, n - 1))
+    if packed:
+        prefix_buf = np.empty((words.shape[0], step, n - 1), dtype=np.int64)
     # Flat takes, two to three times faster than 2-D fancy indexing: a
     # block's keys are keys.flat[feature * ds.n + row], and its k-th
     # feature's sorted keys are block_keys.flat[k * n + order[k]].
@@ -245,9 +307,29 @@ def best_split(
         ks = block_keys.take(order + np.arange(0, order.size, n)[:, None])
         # Left (counts[0]) and right (counts[1] = totals - counts[0]) class
         # counts and sizes at every boundary: shape (2, c + 1, block, n - 1).
-        counts = np.empty((2, c + 1, block.size, n - 1))
-        units.take(order[:, :-1], axis=1).cumsum(axis=2, out=counts[0])
-        np.subtract(totals, counts[0], out=counts[1])
+        counts = counts_buf[:, :, : block.size]
+        left = counts[0]
+        if packed:
+            prefix = prefix_buf[:, : block.size]
+            # Every index is in range; "clip" only spares take's out= buffer.
+            words.take(order[:, :-1], axis=1, out=prefix, mode="clip")
+            prefix.cumsum(axis=2, out=prefix)
+            for f in range(fields):
+                word, slot = divmod(f, per_word)
+                field = prefix[word] >> (slot * width) if slot else prefix[word]
+                out = left[f if f < c - 1 else c]
+                if slot == per_word - 1 or f == fields - 1:
+                    out[...] = field  # the word's top field: no bits above it
+                else:
+                    np.bitwise_and(field, mask, out=out, casting="unsafe")
+            if w is None:
+                left[c] = np.arange(1.0, n)
+            # The last class is the size minus the other classes.
+            np.subtract(left[c], left[: c - 1].sum(axis=0), out=left[c - 1])
+        else:
+            units.take(order[:, :-1], axis=1, out=left, mode="clip")
+            left.cumsum(axis=2, out=left)
+        np.subtract(totals, left, out=counts[1])
         sizes = counts[:, c]
         p = counts[:, :c] / counts[:, c:]
         p *= p
@@ -284,7 +366,8 @@ def best_split(
         left_counts = counts[0, :c, col - lo, j]
     else:
         order = keys[f, idx].argsort(kind="stable")
-        left_counts = units[:c, order[: j + 1]].sum(axis=1)
+        head = order[: j + 1]
+        left_counts = np.bincount(y[head], None if w is None else w[head], minlength=c)
     a, b = ds.features[idx[order[j : j + 2]], f].tolist()
     threshold = _midpoint(a, b)
     left = tuple(int(v) for v in left_counts.tolist())
@@ -335,7 +418,8 @@ def grow_tree(ds: Dataset, row_indices: np.ndarray, cfg: ForestConfig, rng: RngS
     if idx.size == 0:
         raise ValueError("row_indices must be non-empty")
     rows, weights = np.unique(idx, return_counts=True)
-    weights = weights.astype(np.float64)
+    if rows.size == idx.size:
+        weights = None  # every row counts once: the unweighted search
     partner_rows = _partner_rows(rng, ds.p, max(1, DRAW_BLOCK_VALUES // ds.p))
 
     # A split node's record is written once its right child's position is
@@ -373,8 +457,11 @@ def grow_tree(ds: Dataset, row_indices: np.ndarray, cfg: ForestConfig, rng: RngS
         # LIFO: the left child lands on top so it is grown first, right
         # after its parent's slot.
         parent = (len(nodes), sp, counts)
-        work.append((node_rows[~mask], node_weights[~mask], sp.right_counts, depth + 1, parent))
-        work.append((node_rows[mask], node_weights[mask], sp.left_counts, depth + 1, None))
+        left_w = right_w = None
+        if node_weights is not None:
+            left_w, right_w = node_weights[mask], node_weights[~mask]
+        work.append((node_rows[~mask], right_w, sp.right_counts, depth + 1, parent))
+        work.append((node_rows[mask], left_w, sp.left_counts, depth + 1, None))
         nodes.append(None)
 
     return DecisionTree(nodes=tuple(nodes), n_features=ds.p, n_classes=ds.c)

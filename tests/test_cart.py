@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -488,26 +489,150 @@ class TestBestSplitMatchesReference:
         assert got == expected
         assert repr(got) == repr(expected)
 
-    def test_window_stops_below_the_improvement_limit(self):
+    def test_window_stops_below_the_improvement_limit(self, monkeypatch):
         # A class-0 row of count ~2.5e12 and three class-1 rows: splitting
         # off one class-1 row (feature 0) lowers the impurity by ~0.8e-12,
         # two (feature 1) by ~1.6e-12.  Feature 0's split lies in the tie
         # window of the best one but does not improve on the parent by more
         # than TIE_TOL, so it must not win even where it is scanned first.
+        # Packed (gate 0), each count is a 42-bit field, one per word: two
+        # words; with the gate at infinity the counts are float cumsums.
         big = 2_500_000_000_000 - 3
         ds = tiny_dataset([[1.0, 0.0, 1.0, 1.0], [1.0, 0.0, 0.0, 1.0]], [0, 1, 1, 1])
         rows = np.arange(4)
         weights = np.array([big, 1, 1, 1], dtype=np.float64)
         parent = (big, 3)
-        assert best_split(ds, rows, [0], parent, _grow_cfg(), weights) is None
+        assert sum(parent).bit_length() == 42
         feature_0 = (big + 2) * gini((big, 2)) / (big + 3)
         assert feature_0 >= gini(parent) - TIE_TOL
-        for tb in TieBreak:
-            cfg = _grow_cfg(mtry=2, tie_break=tb)
-            got = best_split(ds, rows, [0, 1], parent, cfg, weights)
-            assert got == reference_best_split(ds, rows, [0, 1], parent, cfg, weights)
-            assert (got.feature, got.left_counts) == (1, (0, 2))
-            assert weighted_child_impurity(got) < feature_0 <= weighted_child_impurity(got) + TIE_TOL
+        for gate in (0, math.inf):
+            monkeypatch.setattr("detforest.cart.PACKED_CELLS", gate)
+            assert best_split(ds, rows, [0], parent, _grow_cfg(), weights) is None
+            for tb in TieBreak:
+                cfg = _grow_cfg(mtry=2, tie_break=tb)
+                got = best_split(ds, rows, [0, 1], parent, cfg, weights)
+                assert got == reference_best_split(ds, rows, [0, 1], parent, cfg, weights)
+                assert (got.feature, got.left_counts) == (1, (0, 2))
+                assert weighted_child_impurity(got) < feature_0 <= weighted_child_impurity(got) + TIE_TOL
+
+
+def _parts(gen: np.random.Generator, total: int, n: int) -> np.ndarray:
+    """n positive integers summing to total (n <= total): cut [0, total] at
+    n - 1 distinct points."""
+    cuts = {0, total}
+    while len(cuts) < n + 1:
+        cuts.add(int(gen.integers(1, total)))
+    return np.diff(sorted(cuts))
+
+
+class TestPackedCounts:
+    """Class counts packed into int64 fields give the reference's Split.
+
+    Nodes of at least PACKED_CELLS rows x candidates pack each row's class
+    counts (and, weighted, its size) into fields of sum(parent).bit_length()
+    bits, 63 // width to a word; the gate at 0 packs every node and at
+    infinity none, and both must equal reference_best_split.
+    """
+
+    VALUES = [0.0, 0.5, 1.0, 2.0, 3.5, 1e308]
+
+    @given(data=st.data())
+    @settings(max_examples=250, deadline=None)
+    def test_same_split_as_reference_best_split(self, data):
+        c = data.draw(st.integers(2, 9), label="classes")
+        weighted = data.draw(st.booleans(), label="weighted")
+        # Totals on both sides of a field-width step: 2**k - 1 needs k bits,
+        # 2**k needs k + 1.  Fields spill into a second word when there are
+        # more than 63 // width: unweighted (the total is the row count,
+        # c - 1 fields) at 128 rows of 9 classes, weighted (c fields) at
+        # 2**12 and 5 classes, or at 2**31 and 2.
+        if weighted:
+            k = data.draw(st.integers(2, 44), label="k")
+            total = (1 << k) - data.draw(st.integers(0, 1), label="below the step")
+            n = data.draw(st.integers(2, min(total, 24)), label="rows")
+        else:
+            n = total = data.draw(st.sampled_from([2, 3, 4, 7, 8, 15, 16, 31, 32, 127, 128]), label="rows")
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        p = data.draw(st.integers(1, 4), label="features")
+        columns = [gen.choice(self.VALUES, size=n).tolist() for _ in range(p)]
+        labels = gen.integers(0, c, size=n)
+        labels[data.draw(st.integers(0, n - 1), label="row of the last class")] = c - 1
+        ds = tiny_dataset(columns, labels.tolist())
+        rows = np.arange(n)
+        weights = _parts(gen, total, n).astype(np.float64) if weighted else None
+        parent = tuple(int(v) for v in np.bincount(ds.labels, weights=weights, minlength=c))
+        assert sum(parent) == total
+        candidates = data.draw(st.permutations(range(p)), label="draw order")
+        cfg = ForestConfig(
+            mtry=p,
+            min_node_size=data.draw(st.sampled_from([1, 2, 3, total // 2, total // 2 + 1]), label="min_node_size"),
+            node_size_semantics=data.draw(st.sampled_from(list(NodeSizeSemantics)), label="semantics"),
+            tie_break=data.draw(st.sampled_from(list(TieBreak)), label="tie-break"),
+        )
+        expected = reference_best_split(ds, rows, candidates, parent, cfg, weights)
+        cells = data.draw(st.sampled_from([1, BLOCK_CELLS]), label="block cells")
+        for gate in (0, math.inf):
+            with mock.patch("detforest.cart.BLOCK_CELLS", cells), mock.patch("detforest.cart.PACKED_CELLS", gate):
+                got = best_split(ds, rows, candidates, parent, cfg, weights)
+            assert repr(got) == repr(expected)
+
+
+class TestMinLeafEarlyReturn:
+    """Under MIN_LEAF, a node of total below 2 * min_node_size cannot split."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    def test_none_exactly_where_the_reference_gives_none(self, m, weighted, monkeypatch):
+        # Feature 1 is the label, and the classes hold m and total - m: at
+        # total 2m it splits them into children of m, at 2m - 1 nothing can.
+        gen = np.random.default_rng(m)
+        for total in (2 * m - 1, 2 * m):
+            weights = None
+            n = total
+            if weighted:
+                r = max(1, m // 2)
+                n = 2 * r
+                weights = np.empty(n)
+                weights[0::2], weights[1::2] = _parts(gen, m, r), _parts(gen, total - m, r)
+            ds = tiny_dataset([gen.permutation(n).tolist(), (np.arange(n) % 2).tolist()], [i % 2 for i in range(n)])
+            parent = tuple(int(v) for v in np.bincount(ds.labels, weights=weights, minlength=ds.c))
+            for tb in TieBreak:
+                cfg = _grow_cfg(mtry=2, min_node_size=m, node_size_semantics=NodeSizeSemantics.MIN_LEAF, tie_break=tb)
+                expected = reference_best_split(ds, np.arange(n), [0, 1], parent, cfg, weights)
+                assert (expected is None) == (total < 2 * m)
+                if total < 2 * m:
+                    # Nothing is gathered or sorted: the keys are never read.
+                    monkeypatch.setattr(Dataset, "rank_keys", lambda self: pytest.fail("keys were read"))
+                got = best_split(ds, np.arange(n), [0, 1], parent, cfg, weights)
+                monkeypatch.undo()
+                assert repr(got) == repr(expected)
+
+
+class TestWeights:
+    @pytest.mark.parametrize("bad", [0.5, 0.0, -1.0, math.nan, math.inf])
+    def test_float_weights_must_be_positive_integers(self, bad):
+        ds = duplicated_feature_dataset()
+        parent = class_counts_of(ds.labels, ds.c)
+        weights = np.ones(ds.n)
+        weights[1] = bad
+        with pytest.raises(ValueError, match="positive integers"):
+            best_split(ds, np.arange(ds.n), [0], parent, _grow_cfg(), weights)
+
+    def test_grow_tree_passes_integer_counts(self, monkeypatch):
+        ds = duplicated_feature_dataset()
+        seen = []
+        real = best_split
+
+        def spy(ds, rows, candidates, parent, cfg, weights=None):
+            seen.append(None if weights is None else weights.dtype)
+            return real(ds, rows, candidates, parent, cfg, weights)
+
+        monkeypatch.setattr("detforest.cart.best_split", spy)
+        # A bootstrap sample repeats rows: int64 counts.  Distinct rows: none.
+        grow_tree(ds, np.array([0, 0, 1, 2, 3, 3, 4, 5, 6, 7]), _grow_cfg(), derive_stream(0, 0))
+        grow_tree(ds, np.arange(ds.n), _grow_cfg(), derive_stream(0, 0))
+        assert seen and set(seen) == {np.dtype(np.int64), None}
+        assert seen[-1] is None
 
 
 class TestRankKeyOrder:
