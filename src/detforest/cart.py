@@ -184,13 +184,17 @@ def best_split(
     order is the scan order: the split is the first window member met.
 
     `weights` holds a positive integer count per row (a bootstrap's in-bag
-    counts), and `parent` the node's class counts under those weights.
-    Omitted, every row counts once.  A row with count w is the same node as
-    w copies of the row: copies share their values, so the boundaries
+    counts, or 1), and `parent` the node's class counts under those
+    weights; omitted, every row counts 1.  There is one search either way:
+    each side's class counts are sums of its rows' counts, and its size the
+    sum of its class counts.  A row with count w is the same node as w
+    copies of the row: copies share their values, so the boundaries
     between them are inadmissible, and every admissible boundary sees the
     same integer left size, right size and left class counts either way.
     Float weights must hold integers (ValueError otherwise); they are
-    counted as int64.
+    counted as int64.  sum(parent) must be at most 2**53, the bound the
+    forest loader puts on a node's size (ValueError otherwise), so every
+    count and every sum of counts is exact in float64.
 
     Under MIN_LEAF a node of total below 2 * min_node_size leaves a child
     under the limit at every boundary, so None is returned before any key
@@ -220,25 +224,24 @@ def best_split(
 
     A block's left class counts are prefix sums of each row's counts along
     its sort order.  A node of fewer than PACKED_CELLS rows x candidates
-    takes them as one float64 cumsum of a (c + 1)-row one-hot matrix per
-    block.  A larger node packs each row's counts into int64 words instead:
-    classes 0 to c - 2, and, if rows are weighted, the row's size, each get
-    a field of width = sum(parent).bit_length() bits, 63 // width fields to
-    a word, and fields that do not fit go to further words.  No prefix sum
-    of a field exceeds sum(parent) < 2**width, so no field carries into the
+    takes them as one float64 cumsum of a c-row matrix per block, row k
+    holding each row's count where its class is k.  A larger node packs
+    each row's counts into int64 words instead: class k gets a field of
+    width = sum(parent).bit_length() bits, 63 // width fields to a word,
+    and fields that do not fit go to further words.  No prefix sum of a
+    field exceeds sum(parent) < 2**width, so no field carries into the
     next, and the top field of a word stays below bit 63.  One int64 cumsum
-    per word and block then gives every field's prefix counts, shifted and
-    masked out into the same float64 count array.  Unweighted left sizes
-    are 1 .. n - 1, and the last class is the size minus the other classes.
-    Every count is the integer the float cumsum gives, so the gate changes
-    no result.
+    per word and block then gives every class's prefix counts, shifted and
+    masked out into the same float64 count array.  Every count is the
+    integer the float cumsum gives, so the gate changes no result.
     """
     idx = np.asarray(row_indices, dtype=np.intp)
     n = idx.size
     if n == 0:
         raise ValueError("row_indices must be non-empty")
-    w = None
-    if weights is not None:
+    if weights is None:
+        w = np.ones(n, dtype=np.int64)
+    else:
         w = np.asarray(weights)
         if w.shape != idx.shape:
             raise ValueError(f"weights must have shape {idx.shape}, got {w.shape}")
@@ -249,12 +252,14 @@ def best_split(
         ):
             raise ValueError("weights must be positive integers")
         w = w.astype(np.int64, copy=False)
+    total = sum(parent)
+    if total > 2**53:
+        raise ValueError(f"a node's total must be at most 2**53, got {total}")
     if cfg.tie_break is TieBreak.LOWEST_FEATURE_INDEX:
         candidates = sorted(candidates)
     cols = np.asarray(candidates, dtype=np.intp)
     if n < 2 or cols.size == 0:
         return None
-    total = sum(parent)
     c = ds.c
     min_leaf = cfg.min_node_size if cfg.node_size_semantics is NodeSizeSemantics.MIN_LEAF else 1
     if total < 2 * min_leaf:
@@ -262,30 +267,23 @@ def best_split(
 
     y = ds.labels[idx]
     width = total.bit_length()
-    packed = n * cols.size >= PACKED_CELLS and width <= 63  # a field fits a word
+    packed = n * cols.size >= PACKED_CELLS
     if packed:
-        # Field f < c - 1 holds a row's count in class f, and, if rows are
-        # weighted, field c - 1 its size (see the docstring).
+        # Field k holds a row's count in class k (see the docstring).
         per_word = 63 // width
-        fields = c if w is not None else c - 1
-        unit = np.ones(n, dtype=np.int64) if w is None else w
-        words = np.zeros((-(-fields // per_word), n), dtype=np.int64)
-        for f in range(fields):
-            word, slot = divmod(f, per_word)
-            field = unit if f == c - 1 else np.where(y == f, unit, 0)
-            words[word] += field << (slot * width)
+        words = np.zeros((-(-c // per_word), n), dtype=np.int64)
+        for k in range(c):
+            word, slot = divmod(k, per_word)
+            words[word] += np.where(y == k, w, 0) << (slot * width)
         mask = (1 << width) - 1
     else:
-        # units[k, i] (k < c) is row i's count (its weight, or 1) if its
-        # class is k, and units[c, i] is its count: cumsums of units along a
-        # sort order are the left class counts and the left size at every
+        # units[k, i] is row i's count if its class is k, else 0: cumsums of
+        # units along a sort order are the left class counts at every
         # boundary.
-        units = np.empty((c + 1, n))
-        units[c] = 1.0 if w is None else w
-        np.equal(y, np.arange(c)[:, None], out=units[:c])
-        if w is not None:
-            units[:c] *= units[c]
-    # Counts are held as float64 (exact below 2**53): each division below is
+        units = np.empty((c, n))
+        np.equal(y, np.arange(c)[:, None], out=units)
+        units *= w
+    # Counts are held as float64 (exact up to 2**53): each division below is
     # then the same IEEE operation as on integer counts, minus the casts.
     totals = np.array((*parent, total), dtype=np.float64)[:, None, None]
     # Weighted child impurity per (candidate, boundary); inf where inadmissible.
@@ -314,21 +312,19 @@ def best_split(
             # Every index is in range; "clip" only spares take's out= buffer.
             words.take(order[:, :-1], axis=1, out=prefix, mode="clip")
             prefix.cumsum(axis=2, out=prefix)
-            for f in range(fields):
-                word, slot = divmod(f, per_word)
+            for k in range(c):
+                word, slot = divmod(k, per_word)
                 field = prefix[word] >> (slot * width) if slot else prefix[word]
-                out = left[f if f < c - 1 else c]
-                if slot == per_word - 1 or f == fields - 1:
-                    out[...] = field  # the word's top field: no bits above it
+                if slot == per_word - 1 or k == c - 1:
+                    left[k] = field  # the word's top field: no bits above it
                 else:
-                    np.bitwise_and(field, mask, out=out, casting="unsafe")
-            if w is None:
-                left[c] = np.arange(1.0, n)
-            # The last class is the size minus the other classes.
-            np.subtract(left[c], left[: c - 1].sum(axis=0), out=left[c - 1])
+                    np.bitwise_and(field, mask, out=left[k], casting="unsafe")
         else:
-            units.take(order[:, :-1], axis=1, out=left, mode="clip")
-            left.cumsum(axis=2, out=left)
+            units.take(order[:, :-1], axis=1, out=left[:c], mode="clip")
+            left[:c].cumsum(axis=2, out=left[:c])
+        # A side's size is the sum of its class counts: integers of at most
+        # 2**53, so every partial sum is exact.
+        left[:c].sum(axis=0, out=left[c])
         np.subtract(totals, left, out=counts[1])
         sizes = counts[:, c]
         p = counts[:, :c] / counts[:, c:]
@@ -367,7 +363,7 @@ def best_split(
     else:
         order = keys[f, idx].argsort(kind="stable")
         head = order[: j + 1]
-        left_counts = np.bincount(y[head], None if w is None else w[head], minlength=c)
+        left_counts = np.bincount(y[head], w[head], minlength=c)
     a, b = ds.features[idx[order[j : j + 2]], f].tolist()
     threshold = _midpoint(a, b)
     left = tuple(int(v) for v in left_counts.tolist())
@@ -402,10 +398,11 @@ def grow_tree(ds: Dataset, row_indices: np.ndarray, cfg: ForestConfig, rng: RngS
     node that attempts a split; the left child is grown first and continues
     the stream where the node's draw left off.
 
-    `row_indices` may repeat rows (a bootstrap sample).  The tree is grown
-    on the distinct rows, each carrying its count, which gives the same
-    tree as growing on the repeated rows (see best_split): node sizes and
-    class counts are the weighted ones.
+    `row_indices` may repeat rows (a bootstrap sample).  Every tree is
+    grown on the distinct rows, each carrying its count (1 for every row
+    of a sample without repeats), which gives the same tree as growing on
+    the repeated rows (see best_split): node sizes and class counts are
+    the weighted ones.
 
     Uses an explicit stack rather than recursion: a fully grown tree can be
     deeper than the interpreter stack allows.  Nodes are visited, and
@@ -418,8 +415,6 @@ def grow_tree(ds: Dataset, row_indices: np.ndarray, cfg: ForestConfig, rng: RngS
     if idx.size == 0:
         raise ValueError("row_indices must be non-empty")
     rows, weights = np.unique(idx, return_counts=True)
-    if rows.size == idx.size:
-        weights = None  # every row counts once: the unweighted search
     partner_rows = _partner_rows(rng, ds.p, max(1, DRAW_BLOCK_VALUES // ds.p))
 
     # A split node's record is written once its right child's position is
@@ -457,11 +452,8 @@ def grow_tree(ds: Dataset, row_indices: np.ndarray, cfg: ForestConfig, rng: RngS
         # LIFO: the left child lands on top so it is grown first, right
         # after its parent's slot.
         parent = (len(nodes), sp, counts)
-        left_w = right_w = None
-        if node_weights is not None:
-            left_w, right_w = node_weights[mask], node_weights[~mask]
-        work.append((node_rows[~mask], right_w, sp.right_counts, depth + 1, parent))
-        work.append((node_rows[mask], left_w, sp.left_counts, depth + 1, None))
+        work.append((node_rows[~mask], node_weights[~mask], sp.right_counts, depth + 1, parent))
+        work.append((node_rows[mask], node_weights[mask], sp.left_counts, depth + 1, None))
         nodes.append(None)
 
     return DecisionTree(nodes=tuple(nodes), n_features=ds.p, n_classes=ds.c)
@@ -479,10 +471,14 @@ def iter_nodes(tree: DecisionTree):
 def trees_equal_exact(a: DecisionTree, b: DecisionTree) -> bool:
     """True iff the trees have identical structure and bit-identical fields.
 
-    Thresholds are compared as exact floats and class counts as integers;
-    this is the strong notion of equality (the canonical one lives in `canonical`).
+    Thresholds are compared by their bits, so 0.0 and -0.0 differ as
+    their forest_to_json bytes do, and class counts as integers; this is
+    the strong notion of equality (the canonical one lives in `canonical`).
     """
-    return (a.n_features, a.n_classes, a.nodes) == (b.n_features, b.n_classes, b.nodes)
+    # == holds for 0.0 and -0.0, which float.hex tells apart.
+    return (a.n_features, a.n_classes, a.nodes) == (b.n_features, b.n_classes, b.nodes) and all(
+        x.threshold.hex() == y.threshold.hex() for x, y in zip(a.nodes, b.nodes) if isinstance(x, Internal)
+    )
 
 
 def predict_leaf(tree: DecisionTree, x: np.ndarray) -> Leaf:

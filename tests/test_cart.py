@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from unittest import mock
 
@@ -15,6 +16,7 @@ from detforest import (
     Dataset,
     ForestConfig,
     NodeSizeSemantics,
+    SplitIndices,
     TieBreak,
     derive_stream,
     fit,
@@ -528,10 +530,10 @@ def _parts(gen: np.random.Generator, total: int, n: int) -> np.ndarray:
 class TestPackedCounts:
     """Class counts packed into int64 fields give the reference's Split.
 
-    Nodes of at least PACKED_CELLS rows x candidates pack each row's class
-    counts (and, weighted, its size) into fields of sum(parent).bit_length()
-    bits, 63 // width to a word; the gate at 0 packs every node and at
-    infinity none, and both must equal reference_best_split.
+    Nodes of at least PACKED_CELLS rows x candidates pack each row's count
+    in each class into fields of sum(parent).bit_length() bits, 63 // width
+    to a word; the gate at 0 packs every node and at infinity none, and
+    both must equal reference_best_split.
     """
 
     VALUES = [0.0, 0.5, 1.0, 2.0, 3.5, 1e308]
@@ -542,10 +544,10 @@ class TestPackedCounts:
         c = data.draw(st.integers(2, 9), label="classes")
         weighted = data.draw(st.booleans(), label="weighted")
         # Totals on both sides of a field-width step: 2**k - 1 needs k bits,
-        # 2**k needs k + 1.  Fields spill into a second word when there are
-        # more than 63 // width: unweighted (the total is the row count,
-        # c - 1 fields) at 128 rows of 9 classes, weighted (c fields) at
-        # 2**12 and 5 classes, or at 2**31 and 2.
+        # 2**k needs k + 1.  The c fields spill into a second word when
+        # there are more than 63 // width: unweighted (the total is the row
+        # count) at 128 rows of 8 or 9 classes, weighted at 2**12 and 5
+        # classes, or at 2**31 and 2.
         if weighted:
             k = data.draw(st.integers(2, 44), label="k")
             total = (1 << k) - data.draw(st.integers(0, 1), label="below the step")
@@ -575,6 +577,66 @@ class TestPackedCounts:
             with mock.patch("detforest.cart.BLOCK_CELLS", cells), mock.patch("detforest.cart.PACKED_CELLS", gate):
                 got = best_split(ds, rows, candidates, parent, cfg, weights)
             assert repr(got) == repr(expected)
+
+
+# (classes, total, words): c fields of total.bit_length() bits exactly fill
+# 63 bits of one word, or spill into a second word one step above.
+WORD_EDGES = [
+    (7, 256, 1),  # 7 fields of 9 bits
+    (7, 511, 1),
+    (7, 512, 2),  # 10 bits: 6 fields to a word
+    (3, 2**20, 1),  # 3 fields of 21 bits
+    (3, 2**21 - 1, 1),
+    (3, 2**21, 2),  # 22 bits: 2 fields to a word
+    (2, 2, 1),  # 2 classes: unweighted rows too get 2 fields
+    (2, 3, 1),
+    (2, 64, 1),
+    (2, 2**31 - 1, 1),  # 2 fields of 31 bits
+    (2, 2**31, 2),
+]
+
+
+class TestPackedWordEdges:
+    """With the gate at 0, every node packs, and at the word edges it must
+    still give the reference's Split: unweighted, with unit counts and with
+    repeated counts."""
+
+    @pytest.mark.parametrize(
+        "c, total, words, kind",
+        [
+            (*edge, kind)
+            for edge in WORD_EDGES
+            for kind in ("omitted", "ones", "counts")
+            if kind == "counts" or edge[1] <= 512  # rows without repeats only for the smaller totals
+        ],
+    )
+    def test_same_split_as_reference_best_split(self, c, total, words, kind, monkeypatch):
+        gen = np.random.default_rng(total)
+        if kind == "counts":
+            n = max(2, min(24, total // 2))
+            weights = _parts(gen, total, n)
+        else:
+            n = total
+            weights = None if kind == "omitted" else np.ones(n, dtype=np.int64)
+        labels = gen.integers(0, c, size=n)
+        labels[: min(c, n)] = np.arange(min(c, n))
+        # Many distinct values, few distinct values, and a copy of the first
+        # column, whose boundaries tie across features.
+        fine = (gen.integers(0, 40, size=n) / 4).tolist()
+        ds = tiny_dataset([fine, gen.choice([0.0, 1.0, 2.0], size=n).tolist(), fine], labels.tolist())
+        rows = np.arange(n)
+        parent = tuple(int(v) for v in np.bincount(ds.labels, weights=weights, minlength=c))
+        assert sum(parent) == total
+        assert -(-c // (63 // total.bit_length())) == words
+        monkeypatch.setattr("detforest.cart.PACKED_CELLS", 0)
+        semantics_and_sizes = ((NodeSizeSemantics.MIN_SPLIT, 1), (NodeSizeSemantics.MIN_LEAF, max(1, total // 4)))
+        for semantics, min_node_size in semantics_and_sizes:
+            for tb in TieBreak:
+                cfg = _grow_cfg(mtry=3, min_node_size=min_node_size, node_size_semantics=semantics, tie_break=tb)
+                expected = reference_best_split(ds, rows, [2, 0, 1], parent, cfg, weights)
+                for cells in (1, BLOCK_CELLS):
+                    monkeypatch.setattr("detforest.cart.BLOCK_CELLS", cells)
+                    assert repr(best_split(ds, rows, [2, 0, 1], parent, cfg, weights)) == repr(expected)
 
 
 class TestMinLeafEarlyReturn:
@@ -624,15 +686,35 @@ class TestWeights:
         real = best_split
 
         def spy(ds, rows, candidates, parent, cfg, weights=None):
-            seen.append(None if weights is None else weights.dtype)
+            seen.append((weights.dtype, weights.max()))
             return real(ds, rows, candidates, parent, cfg, weights)
 
         monkeypatch.setattr("detforest.cart.best_split", spy)
-        # A bootstrap sample repeats rows: int64 counts.  Distinct rows: none.
+        # Every search gets int64 counts: a bootstrap sample's in-bag
+        # counts, and 1 for every row of a sample without repeats.
         grow_tree(ds, np.array([0, 0, 1, 2, 3, 3, 4, 5, 6, 7]), _grow_cfg(), derive_stream(0, 0))
+        bootstrap = len(seen)
         grow_tree(ds, np.arange(ds.n), _grow_cfg(), derive_stream(0, 0))
-        assert seen and set(seen) == {np.dtype(np.int64), None}
-        assert seen[-1] is None
+        assert 0 < bootstrap < len(seen)
+        assert {dtype for dtype, _ in seen} == {np.dtype(np.int64)}
+        assert seen[0][1] == 2
+        assert {largest for _, largest in seen[bootstrap:]} == {1}
+
+    def test_total_is_bounded_at_2_to_the_53(self, monkeypatch):
+        # Counts are exact in float64 up to 2**53, so a node of that total
+        # is searched; above it, best_split raises instead of handing a
+        # child a row that does not exist.
+        ds = tiny_dataset([[0.0, 1.0]], [0, 1])
+        rows = np.arange(2)
+        for gate in (0, math.inf):
+            monkeypatch.setattr("detforest.cart.PACKED_CELLS", gate)
+            weights = np.array([2**52, 2**52])
+            sp = best_split(ds, rows, [0], (2**52, 2**52), _grow_cfg(), weights)
+            assert (sp.left_counts, sp.right_counts) == ((2**52, 0), (0, 2**52))
+            assert sp == reference_best_split(ds, rows, [0], (2**52, 2**52), _grow_cfg(), weights)
+            for big in ([2**53, 1], [2**53 + 1, 2**53 + 1]):
+                with pytest.raises(ValueError, match=r"at most 2\*\*53"):
+                    best_split(ds, rows, [0], tuple(big), _grow_cfg(), np.array(big))
 
 
 class TestRankKeyOrder:
@@ -1046,6 +1128,25 @@ class TestTreesEqualExact:
         assert isinstance(stump.nodes[stump.nodes[0].right], Leaf)
         assert not trees_equal_exact(full, stump)
         assert not trees_equal_exact(stump, full)
+
+    def test_zero_and_negative_zero_thresholds_differ(self):
+        # The loader keeps a -0.0 threshold, and forest_to_json writes it
+        # back as -0.0: == cannot tell it from 0.0, the bits can.
+        ds = tiny_dataset([[1.0, 2.0, 3.0, 4.0, 5.0]], [0, 0, 1, 1, 1])
+        forest = fit(ds, SplitIndices((0, 1, 2, 3), (4,)), ForestConfig(n_trees=1, mtry=1, bootstrap=False))
+        doc = json.loads(forest_to_json(forest))
+        assert doc["trees"][0]["nodes"][0]["threshold"] == 2.5
+        forests = []
+        for zero in (0.0, -0.0):
+            doc["trees"][0]["nodes"][0]["threshold"] = zero
+            forests.append(forest_from_json(json.dumps(doc)))
+        positive, negative = (f.trees[0] for f in forests)
+        assert math.copysign(1.0, negative.nodes[0].threshold) == -1.0
+        assert positive.nodes == negative.nodes
+        assert forest_to_json(forests[0]) != forest_to_json(forests[1])
+        assert not trees_equal_exact(positive, negative)
+        assert not trees_equal_exact(negative, positive)
+        assert trees_equal_exact(negative, forest_from_json(json.dumps(doc)).trees[0])
 
     def test_child_index_difference_detected(self):
         # Every field of every node is the same except the root's right
