@@ -45,15 +45,10 @@ TIE_TOL = 1e-12
 
 # Cap on the classes x rows x candidates cells that best_split holds per
 # block: the size of its float count arrays, which it allocates once per
-# node.  Of 2**13..2**17, 2**15 was fastest on split searches replayed from
-# desk fits (BENCH_26.json).
+# node (a block's lane words, at most one per class and cell, are no
+# larger).  Of 2**13..2**17, 2**15 was fastest on split searches replayed
+# from desk fits (BENCH_26.json).
 BLOCK_CELLS = 1 << 15
-
-# best_split packs the class counts of a node of at least this many rows x
-# candidates into int64 words, and counts a smaller node's classes with a
-# float cumsum of one-hot class rows.  Gates of 2**11..2**15 replayed
-# within 2.5% of each other, 2**12 and 2**13 fastest.
-PACKED_CELLS = 1 << 13
 
 # Cap on the bounded draws in one block of grow_tree's candidate draws
 # (p - 1 swap partners per node); a tree's unused tail of a block is wasted.
@@ -191,10 +186,11 @@ def best_split(
     copies of the row: copies share their values, so the boundaries
     between them are inadmissible, and every admissible boundary sees the
     same integer left size, right size and left class counts either way.
-    Float weights must hold integers (ValueError otherwise); they are
-    counted as int64.  sum(parent) must be at most 2**53, the bound the
-    forest loader puts on a node's size (ValueError otherwise), so every
-    count and every sum of counts is exact in float64.
+    Weights of any integer or float dtype must hold positive integers
+    below 2**63 (ValueError otherwise); they are counted as int64.
+    sum(parent) must be at most 2**53, the bound the forest loader puts on
+    a node's size (ValueError otherwise), so every count and every sum of
+    counts is exact in float64.
 
     Under MIN_LEAF a node of total below 2 * min_node_size leaves a child
     under the limit at every boundary, so None is returned before any key
@@ -223,17 +219,14 @@ def best_split(
     rows with equal values.
 
     A block's left class counts are prefix sums of each row's counts along
-    its sort order.  A node of fewer than PACKED_CELLS rows x candidates
-    takes them as one float64 cumsum of a c-row matrix per block, row k
-    holding each row's count where its class is k.  A larger node packs
-    each row's counts into int64 words instead: class k gets a field of
-    width = sum(parent).bit_length() bits, 63 // width fields to a word,
-    and fields that do not fit go to further words.  No prefix sum of a
-    field exceeds sum(parent) < 2**width, so no field carries into the
-    next, and the top field of a word stays below bit 63.  One int64 cumsum
-    per word and block then gives every class's prefix counts, shifted and
-    masked out into the same float64 count array.  Every count is the
-    integer the float cumsum gives, so the gate changes no result.
+    its sort order, taken in lanes of uint64 words: a lane is the narrowest
+    of uint16, uint32 and uint64 that holds sum(parent), so a word holds 4,
+    2 or 1 classes, and class k is lane k of a row's words.  No prefix sum
+    of a lane exceeds sum(parent), so no lane carries into the next, and
+    one uint64 cumsum of the words per block gives every class's prefix
+    counts, read back through a lane view of the words into the float64
+    count array.  The same view writes and reads the lanes, so byte order
+    does not matter.
     """
     idx = np.asarray(row_indices, dtype=np.intp)
     n = idx.size
@@ -245,13 +238,16 @@ def best_split(
         w = np.asarray(weights)
         if w.shape != idx.shape:
             raise ValueError(f"weights must have shape {idx.shape}, got {w.shape}")
-        # Packed counts would truncate a fraction, so float weights are
-        # checked; integer ones are taken as given.
+        # Lanes hold unsigned integers, so a fraction would be truncated and
+        # a count below 1 would wrap: both are refused, as are uint64 counts
+        # of 2**63 or more, which the cast wraps negative.
         if w.dtype.kind not in "fiu" or (
             w.dtype.kind == "f" and not ((w >= 1) & (w < 2.0**63) & (w == np.floor(w))).all()
         ):
             raise ValueError("weights must be positive integers")
         w = w.astype(np.int64, copy=False)
+        if w.min() < 1:
+            raise ValueError("weights must be positive integers")
     total = sum(parent)
     if total > 2**53:
         raise ValueError(f"a node's total must be at most 2**53, got {total}")
@@ -266,23 +262,12 @@ def best_split(
         return None  # every boundary leaves a child below min_leaf
 
     y = ds.labels[idx]
-    width = total.bit_length()
-    packed = n * cols.size >= PACKED_CELLS
-    if packed:
-        # Field k holds a row's count in class k (see the docstring).
-        per_word = 63 // width
-        words = np.zeros((-(-c // per_word), n), dtype=np.int64)
-        for k in range(c):
-            word, slot = divmod(k, per_word)
-            words[word] += np.where(y == k, w, 0) << (slot * width)
-        mask = (1 << width) - 1
-    else:
-        # units[k, i] is row i's count if its class is k, else 0: cumsums of
-        # units along a sort order are the left class counts at every
-        # boundary.
-        units = np.empty((c, n))
-        np.equal(y, np.arange(c)[:, None], out=units)
-        units *= w
+    # Row i's count goes into lane y[i] of its words (see the docstring).
+    lane, per_word = (np.uint16, 4) if total < 2**16 else (np.uint32, 2) if total < 2**32 else (np.uint64, 1)
+    n_words = -(-c // per_word)
+    units = np.zeros((n, n_words * per_word), dtype=lane)
+    units[np.arange(n), y] = w
+    words = units.view(np.uint64)
     # Counts are held as float64 (exact up to 2**53): each division below is
     # then the same IEEE operation as on integer counts, minus the casts.
     totals = np.array((*parent, total), dtype=np.float64)[:, None, None]
@@ -292,8 +277,6 @@ def best_split(
     # The count arrays are allocated once per node; a shorter last block
     # uses their first candidates.
     counts_buf = np.empty((2, c + 1, step, n - 1))
-    if packed:
-        prefix_buf = np.empty((words.shape[0], step, n - 1), dtype=np.int64)
     # Flat takes, two to three times faster than 2-D fancy indexing: a
     # block's keys are keys.flat[feature * ds.n + row], and its k-th
     # feature's sorted keys are block_keys.flat[k * n + order[k]].
@@ -307,21 +290,11 @@ def best_split(
         # counts and sizes at every boundary: shape (2, c + 1, block, n - 1).
         counts = counts_buf[:, :, : block.size]
         left = counts[0]
-        if packed:
-            prefix = prefix_buf[:, : block.size]
-            # Every index is in range; "clip" only spares take's out= buffer.
-            words.take(order[:, :-1], axis=1, out=prefix, mode="clip")
-            prefix.cumsum(axis=2, out=prefix)
-            for k in range(c):
-                word, slot = divmod(k, per_word)
-                field = prefix[word] >> (slot * width) if slot else prefix[word]
-                if slot == per_word - 1 or k == c - 1:
-                    left[k] = field  # the word's top field: no bits above it
-                else:
-                    np.bitwise_and(field, mask, out=left[k], casting="unsafe")
-        else:
-            units.take(order[:, :-1], axis=1, out=left[:c], mode="clip")
-            left[:c].cumsum(axis=2, out=left[:c])
+        # Lane k of the words' prefix sums along each sort order is class
+        # k's left count at every boundary.
+        prefix = words.take(order[:, :-1], axis=0)
+        prefix.cumsum(axis=1, out=prefix)
+        left[:c] = prefix.view(lane)[..., :c].transpose(2, 0, 1)
         # A side's size is the sum of its class counts: integers of at most
         # 2**53, so every partial sum is exact.
         left[:c].sum(axis=0, out=left[c])

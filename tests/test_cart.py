@@ -491,14 +491,14 @@ class TestBestSplitMatchesReference:
         assert got == expected
         assert repr(got) == repr(expected)
 
-    def test_window_stops_below_the_improvement_limit(self, monkeypatch):
+    def test_window_stops_below_the_improvement_limit(self):
         # A class-0 row of count ~2.5e12 and three class-1 rows: splitting
         # off one class-1 row (feature 0) lowers the impurity by ~0.8e-12,
         # two (feature 1) by ~1.6e-12.  Feature 0's split lies in the tie
         # window of the best one but does not improve on the parent by more
         # than TIE_TOL, so it must not win even where it is scanned first.
-        # Packed (gate 0), each count is a 42-bit field, one per word: two
-        # words; with the gate at infinity the counts are float cumsums.
+        # The total needs 42 bits, so each class takes a 64-bit lane, one
+        # per word: two words.
         big = 2_500_000_000_000 - 3
         ds = tiny_dataset([[1.0, 0.0, 1.0, 1.0], [1.0, 0.0, 0.0, 1.0]], [0, 1, 1, 1])
         rows = np.arange(4)
@@ -507,15 +507,13 @@ class TestBestSplitMatchesReference:
         assert sum(parent).bit_length() == 42
         feature_0 = (big + 2) * gini((big, 2)) / (big + 3)
         assert feature_0 >= gini(parent) - TIE_TOL
-        for gate in (0, math.inf):
-            monkeypatch.setattr("detforest.cart.PACKED_CELLS", gate)
-            assert best_split(ds, rows, [0], parent, _grow_cfg(), weights) is None
-            for tb in TieBreak:
-                cfg = _grow_cfg(mtry=2, tie_break=tb)
-                got = best_split(ds, rows, [0, 1], parent, cfg, weights)
-                assert got == reference_best_split(ds, rows, [0, 1], parent, cfg, weights)
-                assert (got.feature, got.left_counts) == (1, (0, 2))
-                assert weighted_child_impurity(got) < feature_0 <= weighted_child_impurity(got) + TIE_TOL
+        assert best_split(ds, rows, [0], parent, _grow_cfg(), weights) is None
+        for tb in TieBreak:
+            cfg = _grow_cfg(mtry=2, tie_break=tb)
+            got = best_split(ds, rows, [0, 1], parent, cfg, weights)
+            assert got == reference_best_split(ds, rows, [0, 1], parent, cfg, weights)
+            assert (got.feature, got.left_counts) == (1, (0, 2))
+            assert weighted_child_impurity(got) < feature_0 <= weighted_child_impurity(got) + TIE_TOL
 
 
 def _parts(gen: np.random.Generator, total: int, n: int) -> np.ndarray:
@@ -528,12 +526,11 @@ def _parts(gen: np.random.Generator, total: int, n: int) -> np.ndarray:
 
 
 class TestPackedCounts:
-    """Class counts packed into int64 fields give the reference's Split.
+    """Class counts packed into lanes of uint64 words give the reference's Split.
 
-    Nodes of at least PACKED_CELLS rows x candidates pack each row's count
-    in each class into fields of sum(parent).bit_length() bits, 63 // width
-    to a word; the gate at 0 packs every node and at infinity none, and
-    both must equal reference_best_split.
+    Each row's count in each class goes into a lane of the narrowest of
+    uint16, uint32 and uint64 that holds sum(parent), 4, 2 or 1 to a word,
+    and the split must equal reference_best_split.
     """
 
     VALUES = [0.0, 0.5, 1.0, 2.0, 3.5, 1e308]
@@ -543,13 +540,13 @@ class TestPackedCounts:
     def test_same_split_as_reference_best_split(self, data):
         c = data.draw(st.integers(2, 9), label="classes")
         weighted = data.draw(st.booleans(), label="weighted")
-        # Totals on both sides of a field-width step: 2**k - 1 needs k bits,
-        # 2**k needs k + 1.  The c fields spill into a second word when
-        # there are more than 63 // width: unweighted (the total is the row
-        # count) at 128 rows of 8 or 9 classes, weighted at 2**12 and 5
-        # classes, or at 2**31 and 2.
+        # Totals on both sides of each bit step up to 2**53, the lane steps
+        # 2**16 and 2**32 among them: 2**k - 1 needs k bits, 2**k needs
+        # k + 1.  The c lanes spill into further words when there are more
+        # than 4, 2 or 1 to a word: 5 to 9 classes of uint16 lanes take two
+        # or three words.
         if weighted:
-            k = data.draw(st.integers(2, 44), label="k")
+            k = data.draw(st.integers(2, 53), label="k")
             total = (1 << k) - data.draw(st.integers(0, 1), label="below the step")
             n = data.draw(st.integers(2, min(total, 24)), label="rows")
         else:
@@ -573,14 +570,31 @@ class TestPackedCounts:
         )
         expected = reference_best_split(ds, rows, candidates, parent, cfg, weights)
         cells = data.draw(st.sampled_from([1, BLOCK_CELLS]), label="block cells")
-        for gate in (0, math.inf):
-            with mock.patch("detforest.cart.BLOCK_CELLS", cells), mock.patch("detforest.cart.PACKED_CELLS", gate):
-                got = best_split(ds, rows, candidates, parent, cfg, weights)
-            assert repr(got) == repr(expected)
+        with mock.patch("detforest.cart.BLOCK_CELLS", cells):
+            got = best_split(ds, rows, candidates, parent, cfg, weights)
+        assert repr(got) == repr(expected)
 
 
-# (classes, total, words): c fields of total.bit_length() bits exactly fill
-# 63 bits of one word, or spill into a second word one step above.
+# (classes, total, lane bits, words): a lane is the narrowest of 16, 32
+# and 64 bits that holds the total, and c lanes fill one word or spill
+# into a second.
+LANE_EDGES = [
+    (4, 2**16 - 1, 16, 1),  # the largest 16-bit total
+    (5, 2**16 - 1, 16, 2),
+    (2, 2**16, 32, 1),  # one more takes 32-bit lanes
+    (3, 2**16, 32, 2),
+    (2, 2**32 - 1, 32, 1),
+    (3, 2**32 - 1, 32, 2),
+    (1, 2**32, 64, 1),  # one more takes 64-bit lanes
+    (2, 2**32, 64, 2),
+    (1, 2**53, 64, 1),  # the largest total best_split takes
+    (2, 2**53, 64, 2),
+]
+
+# (classes, total, words): totals at which the bit-field layout that lanes
+# replaced (fields of total.bit_length() bits, 63 // width to an int64
+# word) filled a word or spilled into another.  They take 16- and 32-bit
+# lanes now, and stay as comparisons with the reference.
 WORD_EDGES = [
     (7, 256, 1),  # 7 fields of 9 bits
     (7, 511, 1),
@@ -596,10 +610,53 @@ WORD_EDGES = [
 ]
 
 
+def _edge_matches_reference(c: int, total: int, kind: str) -> None:
+    """best_split gives the reference's Split on a node of c classes and the
+    given total: unweighted, with unit counts or with repeated counts, under
+    both tie-breaks and semantics, in one-candidate and full blocks."""
+    gen = np.random.default_rng(total)
+    if kind == "counts":
+        n = max(2, min(24, total // 2))
+        weights = _parts(gen, total, n)
+    else:
+        n = total
+        weights = None if kind == "omitted" else np.ones(n, dtype=np.int64)
+    labels = gen.integers(0, c, size=n)
+    labels[: min(c, n)] = np.arange(min(c, n))
+    # Many distinct values, few distinct values, and a copy of the first
+    # column, whose boundaries tie across features.
+    fine = (gen.integers(0, 40, size=n) / 4).tolist()
+    ds = tiny_dataset([fine, gen.choice([0.0, 1.0, 2.0], size=n).tolist(), fine], labels.tolist())
+    rows = np.arange(n)
+    parent = tuple(int(v) for v in np.bincount(ds.labels, weights=weights, minlength=c))
+    assert sum(parent) == total
+    semantics_and_sizes = ((NodeSizeSemantics.MIN_SPLIT, 1), (NodeSizeSemantics.MIN_LEAF, max(1, total // 4)))
+    for semantics, min_node_size in semantics_and_sizes:
+        for tb in TieBreak:
+            cfg = _grow_cfg(mtry=3, min_node_size=min_node_size, node_size_semantics=semantics, tie_break=tb)
+            expected = reference_best_split(ds, rows, [2, 0, 1], parent, cfg, weights)
+            for cells in (1, BLOCK_CELLS):
+                with mock.patch("detforest.cart.BLOCK_CELLS", cells):
+                    assert repr(best_split(ds, rows, [2, 0, 1], parent, cfg, weights)) == repr(expected)
+
+
 class TestPackedWordEdges:
-    """With the gate at 0, every node packs, and at the word edges it must
-    still give the reference's Split: unweighted, with unit counts and with
-    repeated counts."""
+    """At the lane edges, and at the former bit-field word edges, every node
+    must give the reference's Split."""
+
+    @pytest.mark.parametrize(
+        "c, total, bits, words, kind",
+        [
+            (*edge, kind)
+            for edge in LANE_EDGES
+            for kind in ("omitted", "ones", "counts")
+            if kind == "counts" or edge[1] <= 2**16  # rows without repeats only up to 65536 rows
+        ],
+    )
+    def test_lane_edges(self, c, total, bits, words, kind):
+        assert bits == min(b for b in (16, 32, 64) if total < 2**b)
+        assert -(-c // (64 // bits)) == words
+        _edge_matches_reference(c, total, kind)
 
     @pytest.mark.parametrize(
         "c, total, words, kind",
@@ -610,33 +667,9 @@ class TestPackedWordEdges:
             if kind == "counts" or edge[1] <= 512  # rows without repeats only for the smaller totals
         ],
     )
-    def test_same_split_as_reference_best_split(self, c, total, words, kind, monkeypatch):
-        gen = np.random.default_rng(total)
-        if kind == "counts":
-            n = max(2, min(24, total // 2))
-            weights = _parts(gen, total, n)
-        else:
-            n = total
-            weights = None if kind == "omitted" else np.ones(n, dtype=np.int64)
-        labels = gen.integers(0, c, size=n)
-        labels[: min(c, n)] = np.arange(min(c, n))
-        # Many distinct values, few distinct values, and a copy of the first
-        # column, whose boundaries tie across features.
-        fine = (gen.integers(0, 40, size=n) / 4).tolist()
-        ds = tiny_dataset([fine, gen.choice([0.0, 1.0, 2.0], size=n).tolist(), fine], labels.tolist())
-        rows = np.arange(n)
-        parent = tuple(int(v) for v in np.bincount(ds.labels, weights=weights, minlength=c))
-        assert sum(parent) == total
+    def test_same_split_as_reference_best_split(self, c, total, words, kind):
         assert -(-c // (63 // total.bit_length())) == words
-        monkeypatch.setattr("detforest.cart.PACKED_CELLS", 0)
-        semantics_and_sizes = ((NodeSizeSemantics.MIN_SPLIT, 1), (NodeSizeSemantics.MIN_LEAF, max(1, total // 4)))
-        for semantics, min_node_size in semantics_and_sizes:
-            for tb in TieBreak:
-                cfg = _grow_cfg(mtry=3, min_node_size=min_node_size, node_size_semantics=semantics, tie_break=tb)
-                expected = reference_best_split(ds, rows, [2, 0, 1], parent, cfg, weights)
-                for cells in (1, BLOCK_CELLS):
-                    monkeypatch.setattr("detforest.cart.BLOCK_CELLS", cells)
-                    assert repr(best_split(ds, rows, [2, 0, 1], parent, cfg, weights)) == repr(expected)
+        _edge_matches_reference(c, total, kind)
 
 
 class TestMinLeafEarlyReturn:
@@ -680,6 +713,17 @@ class TestWeights:
         with pytest.raises(ValueError, match="positive integers"):
             best_split(ds, np.arange(ds.n), [0], parent, _grow_cfg(), weights)
 
+    @pytest.mark.parametrize("dtype, bad", [(np.int64, -1), (np.int64, 0), (np.uint64, 2**63)])
+    def test_integer_weights_must_be_positive(self, dtype, bad):
+        # Lanes are unsigned: -1, or 2**63 cast to int64 (-2**63), would
+        # wrap into a huge count instead of failing.
+        ds = duplicated_feature_dataset()
+        parent = class_counts_of(ds.labels, ds.c)
+        weights = np.ones(ds.n, dtype=dtype)
+        weights[1] = bad
+        with pytest.raises(ValueError, match="positive integers"):
+            best_split(ds, np.arange(ds.n), [0], parent, _grow_cfg(), weights)
+
     def test_grow_tree_passes_integer_counts(self, monkeypatch):
         ds = duplicated_feature_dataset()
         seen = []
@@ -700,21 +744,19 @@ class TestWeights:
         assert seen[0][1] == 2
         assert {largest for _, largest in seen[bootstrap:]} == {1}
 
-    def test_total_is_bounded_at_2_to_the_53(self, monkeypatch):
+    def test_total_is_bounded_at_2_to_the_53(self):
         # Counts are exact in float64 up to 2**53, so a node of that total
         # is searched; above it, best_split raises instead of handing a
         # child a row that does not exist.
         ds = tiny_dataset([[0.0, 1.0]], [0, 1])
         rows = np.arange(2)
-        for gate in (0, math.inf):
-            monkeypatch.setattr("detforest.cart.PACKED_CELLS", gate)
-            weights = np.array([2**52, 2**52])
-            sp = best_split(ds, rows, [0], (2**52, 2**52), _grow_cfg(), weights)
-            assert (sp.left_counts, sp.right_counts) == ((2**52, 0), (0, 2**52))
-            assert sp == reference_best_split(ds, rows, [0], (2**52, 2**52), _grow_cfg(), weights)
-            for big in ([2**53, 1], [2**53 + 1, 2**53 + 1]):
-                with pytest.raises(ValueError, match=r"at most 2\*\*53"):
-                    best_split(ds, rows, [0], tuple(big), _grow_cfg(), np.array(big))
+        weights = np.array([2**52, 2**52])
+        sp = best_split(ds, rows, [0], (2**52, 2**52), _grow_cfg(), weights)
+        assert (sp.left_counts, sp.right_counts) == ((2**52, 0), (0, 2**52))
+        assert sp == reference_best_split(ds, rows, [0], (2**52, 2**52), _grow_cfg(), weights)
+        for big in ([2**53, 1], [2**53 + 1, 2**53 + 1]):
+            with pytest.raises(ValueError, match=r"at most 2\*\*53"):
+                best_split(ds, rows, [0], tuple(big), _grow_cfg(), np.array(big))
 
 
 class TestRankKeyOrder:
